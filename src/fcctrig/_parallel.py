@@ -1,8 +1,9 @@
 """Thread budget and deterministic chunked evaluation.
 
 FCC_TRIG_THREADS caps the worker count for the grid scans (0 or unset
-means one worker per CPU).  Chunks are always combined in submission
-order, so results do not depend on scheduling.
+means one worker per CPU); map_chunks never starts more workers than
+there are CPUs.  Chunks are always combined in submission order, so
+results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def thread_count() -> int:
 def map_chunks(fn, chunks) -> list:
     """Apply fn to every chunk, returning results in chunk order."""
     chunks = list(chunks)
-    workers = min(thread_count(), max(len(chunks), 1))
+    workers = min(thread_count(), os.cpu_count() or 1, max(len(chunks), 1))
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as ex:

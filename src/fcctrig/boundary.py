@@ -42,15 +42,27 @@ def classify(t, tol: float = 1e-9):
     return frozenset(I), frozenset(J)
 
 
-def classify_index(k, n: int):
-    """Integer-exact stratum label of the node k/(4n); k must lie in H_n*."""
-    k = hindex(k)
-    d = k[:, None] - k[None, :]
+def boundary_slots(kk, n: int):
+    """Boundary labels of node indices: boolean masks (N, 4) of I and J.
+
+    Row r has slot i in I and slot j in J when kk[r, i] - kk[r, j] = 4n;
+    both rows are all False for an interior node.  This is the one place
+    the boundary condition is written down; strata, weights and
+    classify_index are read off these masks.  Rows outside H_n* raise
+    ValueError.
+    """
+    kk = np.asarray(kk, dtype=np.int64).reshape(-1, 4)
+    d = kk[:, :, None] - kk[:, None, :]
     if np.any(np.abs(d) > 4 * n):
         raise ValueError("index outside the closed node set for this degree")
     hit = d == 4 * n
-    I = frozenset(int(i) + 1 for i in np.nonzero(hit.any(axis=1))[0])
-    J = frozenset(int(j) + 1 for j in np.nonzero(hit.any(axis=0))[0])
+    return hit.any(axis=2), hit.any(axis=1)
+
+
+def classify_index(k, n: int):
+    """Integer-exact stratum label of the node k/(4n); k must lie in H_n*."""
+    masks = boundary_slots(hindex(k), n)
+    I, J = (frozenset((np.flatnonzero(m) + 1).tolist()) for m in masks)
     return I, J
 
 

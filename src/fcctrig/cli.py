@@ -101,8 +101,9 @@ def _node_table(args):
     n = args.n
     if args.set == "lambda":
         idx = indexsets.lambda_nodes(n)
-        strata = [indexsets.tetra_stratum(k, n) for k in idx]
-        weights = [str(indexsets.weight_lambda(k, n)) for k in idx]
+        lam = indexsets.lambdas(idx, n).tolist()
+        strata = [indexsets.TETRA_STRATA[w] for w in lam]
+        weights = [str(w) for w in lam]
     else:
         gen = {
             "hn": indexsets.generate_Hn,
@@ -110,9 +111,9 @@ def _node_table(args):
             "hcirc": indexsets.generate_Hn_circ,
         }[args.set]
         idx = gen(n)
-        labels = [indexsets.stratum_of_index(k, n) for k in idx]
-        strata = ["interior" if lab == (0, 0) else f"{lab[0]}{lab[1]}" for lab in labels]
-        weights = [str(indexsets.weight_c(k, n)) for k in idx]
+        labels = indexsets.strata(idx, n).tolist()
+        strata = ["interior" if a + b == 0 else f"{a}{b}" for a, b in labels]
+        weights = [str(Fraction(1, b)) for b in indexsets.class_sizes(idx, n).tolist()]
     pts = idx.astype(float) / (4.0 * n)
     xs = lattice.from_homogeneous(pts)
     header = [
@@ -311,8 +312,11 @@ def _verify_checks(n: int, rng: np.random.Generator):
             and len(indexsets.generate_Hn_circ(m)) == m**4 - (m - 1) ** 4
         )
         yield f"cardinalities degree {m}", ok, ""
-        wsum = sum(indexsets.weight_c(k, m) for k in indexsets.generate_Hn_star(m))
-        lsum = sum(indexsets.weight_lambda(k, m) for k in indexsets.lambda_nodes(m))
+        sizes, counts = np.unique(
+            indexsets.class_sizes(indexsets.generate_Hn_star(m), m), return_counts=True
+        )
+        wsum = sum(Fraction(c, s) for s, c in zip(sizes.tolist(), counts.tolist()))
+        lsum = int(indexsets.lambda_weights(m).sum())
         ok = wsum == 4 * m**3 and lsum == 4 * m**3
         yield f"weight sums degree {m}", ok, f"{wsum} vs {4 * m ** 3}"
 

@@ -5,8 +5,11 @@ which identify the frequency set with Z^3; membership conditions become
 small box constraints there, so generation is exact integer arithmetic with
 no scanning of a large bounding region.
 
-Weights are exact rationals (Fraction); they convert to float only when a
-quadrature sum is actually formed.
+Strata and weights of whole node arrays are read off one routine,
+boundary.boundary_slots.  The weights are exact: the symmetric-rule weight
+c = 1/binom(|I|+|J|, |I|) is held as its integer denominator (a Fraction
+for one node) and the tetrahedral weight lambda is an integer; they convert
+to float only when a quadrature sum is actually formed.
 """
 
 from __future__ import annotations
@@ -16,20 +19,15 @@ from math import comb
 
 import numpy as np
 
-from .boundary import classify_index
+from .boundary import boundary_slots
 from .lattice import hindex
+from .symmetry import PERM_TABLE
 
 TETRA_WEIGHTS = {"interior": 24, "face": 12, "edge1": 6, "edge2": 4, "vertex": 1}
+TETRA_STRATA = {w: name for name, w in TETRA_WEIGHTS.items()}
 
-_C_WEIGHTS = {
-    (0, 0): Fraction(1),
-    (1, 1): Fraction(1, 2),
-    (1, 2): Fraction(1, 3),
-    (2, 1): Fraction(1, 3),
-    (1, 3): Fraction(1, 4),
-    (3, 1): Fraction(1, 4),
-    (2, 2): Fraction(1, 6),
-}
+# _BINOM[a + b, a] = binom(a + b, a) for the stratum sizes |I|, |J| <= 3
+_BINOM = np.array([[comb(m, i) for i in range(5)] for m in range(5)], dtype=np.int64)
 
 
 def _from_reduced(kp: np.ndarray) -> np.ndarray:
@@ -90,58 +88,67 @@ def generate_Hn_circ(n: int) -> np.ndarray:
     return generate_Hn_star(n - 1)
 
 
+def strata(kk, n: int) -> np.ndarray:
+    """(|I|, |J|) of every row of kk, shape (N, 2); (0, 0) for interior nodes.
+
+    Rows must lie in H_n*; others raise ValueError.
+    """
+    I, J = boundary_slots(kk, n)
+    return np.stack([I.sum(axis=1), J.sum(axis=1)], axis=1)
+
+
+def class_sizes(kk, n: int) -> np.ndarray:
+    """binom(|I|+|J|, |I|) per row: the size of each node's congruence class.
+
+    The symmetric-rule weight of a node is c = 1 / (its class size).
+    """
+    s = strata(kk, n)
+    return _BINOM[s.sum(axis=1), s[:, 0]]
+
+
+def lambdas(kk, n: int) -> np.ndarray:
+    """Tetrahedral weights lambda of monotone rows of H_n*, as integers.
+
+    lambda = |S4-orbit| * c: the orbit size, 24 over the number of
+    permutations fixing the row (the product of the factorials of the
+    entry multiplicities), divided by the class size.
+    """
+    kk = np.asarray(kk, dtype=np.int64).reshape(-1, 4)
+    if np.any(kk[:, 1:] > kk[:, :-1]):
+        raise ValueError("tetrahedral index must be non-increasing")
+    sizes = class_sizes(kk, n)
+    fixing = (kk[:, PERM_TABLE] == kk[:, None, :]).all(axis=-1).sum(axis=1)
+    return 24 // fixing // sizes
+
+
 def stratum_of_index(k, n: int):
     """(|I|, |J|) of the node k/(4n); (0, 0) for interior nodes."""
-    I, J = classify_index(k, n)
-    return len(I), len(J)
+    return tuple(strata(hindex(k), n)[0].tolist())
 
 
 def weight_c(k, n: int) -> Fraction:
     """Quadrature weight of a symmetric-rule node, 1 over binom(|I|+|J|, |I|)."""
-    return _C_WEIGHTS[stratum_of_index(k, n)]
+    return Fraction(1, int(class_sizes(hindex(k), n)[0]))
 
 
 def stratum_counts(n: int) -> dict:
     """Map (|I|, |J|) -> number of nodes in that stratum of the star set."""
-    counts = {}
-    for k in generate_Hn_star(n):
-        lab = stratum_of_index(k, n)
-        counts[lab] = counts.get(lab, 0) + 1
-    return counts
+    s = strata(generate_Hn_star(n), n)
+    labels, counts = np.unique(s, axis=0, return_counts=True)
+    return {tuple(lab): c for lab, c in zip(labels.tolist(), counts.tolist())}
 
 
 def tetra_stratum(k, n: int) -> str:
     """Stratum of a monotone index within the tetrahedral node set.
 
-    Classified from the explicit inequality chains: which of the four face
-    conditions k1 = k2, k2 = k3, k3 = k4, k1 = k4 + 4n hold determines
-    interior, face, the two edge types, or vertex.
+    Interior, face, the two edge types and vertex have the distinct
+    weights of TETRA_WEIGHTS, so the stratum is read off lambda.
     """
-    k = hindex(k)
-    k1, k2, k3, k4 = (int(v) for v in k)
-    if not (k1 >= k2 >= k3 >= k4):
-        raise ValueError("tetrahedral index must be non-increasing")
-    if k1 > k4 + 4 * n:
-        raise ValueError("index outside the tetrahedral set for this degree")
-    d = k1 == k4 + 4 * n
-    eq12, eq23, eq34 = k1 == k2, k2 == k3, k3 == k4
-    neq = int(eq12) + int(eq23) + int(eq34)
-    if neq == 0:
-        return "face" if d else "interior"
-    if neq == 3:
-        return "vertex"
-    if eq12 and eq34:
-        return "vertex" if d else "edge1"
-    if neq == 2:
-        return "vertex" if d else "edge2"
-    # exactly one equality
-    if d:
-        return "edge1" if eq23 else "edge2"
-    return "face"
+    return TETRA_STRATA[weight_lambda(k, n)]
 
 
 def weight_lambda(k, n: int) -> int:
-    return TETRA_WEIGHTS[tetra_stratum(k, n)]
+    return int(lambdas(hindex(k), n)[0])
 
 
 def lambda_nodes(n: int) -> np.ndarray:
@@ -171,11 +178,13 @@ def lambda_circ_nodes(n: int) -> np.ndarray:
 
 
 def lambda_weights(n: int) -> np.ndarray:
-    return np.array([weight_lambda(k, n) for k in lambda_nodes(n)], dtype=np.int64)
+    return lambdas(lambda_nodes(n), n)
 
 
 def generate_Lambda_n(n: int) -> list:
     """Tetrahedral indices with their stratum labels."""
+    kk = lambda_nodes(n)
     return [
-        (tuple(int(v) for v in k), tetra_stratum(k, n)) for k in lambda_nodes(n)
+        (tuple(k), TETRA_STRATA[w])
+        for k, w in zip(kk.tolist(), lambdas(kk, n).tolist())
     ]

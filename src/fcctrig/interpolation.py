@@ -36,6 +36,7 @@ from .indexsets import (
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
+    lambda_weights,
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
@@ -108,8 +109,8 @@ def ell_tri_tc_sum(j, n: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     pt = j.astype(float) / (4.0 * n)
     total = 0.0
-    for k in lambda_nodes(n):
-        total = total + weight_lambda(k, n) * tc(k, t) * np.conj(tc(k, pt))
+    for k, lam_k in zip(lambda_nodes(n), lambda_weights(n).tolist()):
+        total = total + lam_k * tc(k, t) * np.conj(tc(k, pt))
     return total * lam_j / (4.0 * n**3)
 
 
@@ -127,22 +128,39 @@ class Interpolant:
     values: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
+        """Evaluate at zero-sum points of shape (..., 4).
+
+        Raises ValueError when the last axis is not 4, an entry is not
+        finite, or a point is off the zero-sum hyperplane, i.e.
+        |sum t| > 1e-9 * max(1, max |t_i|).
+        """
         t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1, 4)
+        if t.ndim == 0 or t.shape[-1] != 4:
+            raise ValueError(
+                f"points need 4 coordinates on the last axis, got shape {t.shape}"
+            )
+        if not np.all(np.isfinite(t)):
+            raise ValueError("points must be finite")
+        scale = np.maximum(1.0, np.abs(t).max(axis=-1))
+        if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * scale):
+            raise ValueError("points must lie on the zero-sum hyperplane")
         if len(self.nodes) == 0:
             return np.zeros(t.shape[:-1], dtype=complex)
-        out = np.concatenate(
-            map_chunks(self._eval_chunk, _split(flat, self._chunk_rows()))
-        )
-        return out.reshape(t.shape[:-1])
+        vals = self.values.astype(complex)
+        if self.kind == "lnstar":
+            vals = lambda_weights(self.n).astype(float) * vals
+        chunks = _split(t.reshape(-1, 4), self._chunk_rows())
+        out = map_chunks(lambda pts: self._eval_chunk(pts, vals), chunks)
+        return np.concatenate(out).reshape(t.shape[:-1])
 
     def _chunk_rows(self) -> int:
         per_point = len(self.nodes) * (24 if self.kind in ("ln", "lnstar") else 1)
         return max(16, int(2**21 // max(per_point, 1)))
 
-    def _eval_chunk(self, pts: np.ndarray) -> np.ndarray:
-        n, nodes, vals = self.n, self.nodes, self.values
-        xp = nodes.astype(float) / (4.0 * n)
+    def _eval_chunk(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Kernel sum at pts; for ``lnstar`` vals already carry the weights lambda."""
+        n = self.n
+        xp = self.nodes.astype(float) / (4.0 * n)
         if self.kind == "in":
             kk = generate_Hn(n).astype(float)
             et = np.exp(0.5j * np.pi * (pts @ kk.T))
@@ -150,16 +168,14 @@ class Interpolant:
             return (et @ (np.conj(ex).T @ vals)) / (4 * n**3)
         if self.kind == "instar":
             diffs = pts[:, None, :] - xp[None, :, :]
-            return phi_n_star(n, diffs) @ vals.astype(complex)
+            return phi_n_star(n, diffs) @ vals
         imgs = pts[:, PERM_TABLE]  # (m, 24, 4)
         diffs = imgs[:, :, None, :] - xp[None, None, :, :]
         if self.kind == "ln":
-            g = _theta_diff(n, diffs) @ vals.astype(complex)
+            g = _theta_diff(n, diffs) @ vals
             return (g * PERM_SIGNS).sum(axis=-1) * (6.0 / n**3) / 24.0
         if self.kind == "lnstar":
-            lam = np.array([weight_lambda(k, n) for k in nodes], dtype=float)
-            g = phi_n_star(n, diffs) @ (lam * vals.astype(complex))
-            return g.mean(axis=-1)
+            return (phi_n_star(n, diffs) @ vals).mean(axis=-1)
         raise ValueError(f"unknown interpolation kind {self.kind!r}")
 
 
@@ -304,7 +320,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
 
         rows = max(8, int(2**21 // max(24 * len(nodes), 1)))
     elif kind == "lnstar":
-        lam = np.array([weight_lambda(k, n) for k in nodes], dtype=float)
+        lam = lambda_weights(n).astype(float)
 
         def leb(chunk):
             imgs = chunk[:, PERM_TABLE]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexsets import generate_Hn, generate_Hn_star, stratum_of_index, weight_c
+from .indexsets import class_sizes, generate_Hn, generate_Hn_star, strata
 
 SING_TOL = 1e-8
 
@@ -100,14 +100,9 @@ def edge_sum(n: int, t) -> np.ndarray:
 def edge_sum_direct(n: int, t) -> np.ndarray:
     """Oracle for edge_sum: sum exponentials over the two edge strata."""
     t = np.asarray(t, dtype=float)
-    rows = [
-        k
-        for k in generate_Hn_star(n)
-        if stratum_of_index(k, n) in ((1, 2), (2, 1))
-    ]
-    if not rows:
-        return np.zeros(t.shape[:-1], dtype=complex)
-    kk = np.array(rows, dtype=float)
+    kk = generate_Hn_star(n)
+    # |I| + |J| = 3 exactly on the (1, 2) and (2, 1) strata
+    kk = kk[strata(kk, n).sum(axis=1) == 3].astype(float)
     return np.exp(0.5j * np.pi * (t @ kk.T)).sum(axis=-1)
 
 
@@ -135,21 +130,7 @@ def phi_n_star_direct(n: int, t) -> np.ndarray:
     """Oracle: weighted exponential sum over the star set."""
     t = np.asarray(t, dtype=float)
     kk = generate_Hn_star(n)
-    w = np.array([float(weight_c(k, n)) for k in kk])
+    w = 1.0 / class_sizes(kk, n)
     e = np.exp(0.5j * np.pi * (t @ kk.astype(float).T))
     return (e * w).sum(axis=-1) / (4 * n**3)
 
-
-# production form / summation oracle, keyed by kernel name
-FAST = {
-    "dirichlet": dirichlet,
-    "dirichlet_product": dirichlet_product,
-    "edge_sum": edge_sum,
-    "phi_star": phi_n_star,
-}
-REFERENCE = {
-    "dirichlet": dirichlet_direct,
-    "dirichlet_product": dirichlet_direct,
-    "edge_sum": edge_sum_direct,
-    "phi_star": phi_n_star_direct,
-}

@@ -69,45 +69,8 @@ def transposition(i: int, j: int) -> Perm4:
     return Perm4(tuple(images))
 
 
-def _word(*pairs) -> Perm4:
-    p = IDENTITY
-    for i, j in pairs:
-        p = p @ transposition(i, j)
-    return p
-
-
-# Even and odd classes, listed as a fixed roster: the identity, the eight
-# 3-cycles as two-transposition words, the three double transpositions;
-# then the six transpositions and the six 4-cycles as three-letter words.
-G_PLUS = (
-    IDENTITY,
-    _word((1, 2), (1, 3)),
-    _word((1, 3), (1, 2)),
-    _word((1, 2), (1, 4)),
-    _word((1, 4), (1, 2)),
-    _word((1, 3), (1, 4)),
-    _word((1, 4), (1, 3)),
-    _word((2, 3), (2, 4)),
-    _word((2, 4), (2, 3)),
-    _word((1, 2), (3, 4)),
-    _word((1, 3), (2, 4)),
-    _word((1, 4), (2, 3)),
-)
-
-G_MINUS = (
-    transposition(1, 2),
-    transposition(1, 3),
-    transposition(1, 4),
-    transposition(2, 3),
-    transposition(2, 4),
-    transposition(3, 4),
-    _word((1, 2), (1, 3), (1, 4)),
-    _word((1, 2), (1, 4), (1, 3)),
-    _word((1, 3), (1, 2), (1, 4)),
-    _word((1, 3), (1, 4), (1, 2)),
-    _word((1, 4), (1, 2), (1, 3)),
-    _word((1, 4), (1, 3), (1, 2)),
-)
+G_PLUS = tuple(p for p in GROUP if p.parity == 1)
+G_MINUS = tuple(p for p in GROUP if p.parity == -1)
 
 
 def act_point(sigma: Perm4, t) -> np.ndarray:

@@ -19,13 +19,13 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
+    class_sizes,
     generate_Hn,
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
     lambda_weights,
     to_reduced,
-    weight_c,
 )
 from .kernels import dirichlet
 from .lattice import A_MATRIX, to_homogeneous
@@ -51,7 +51,7 @@ def inner_n_star(f, g, n: int) -> complex:
     """Weighted node sum over the symmetric set with the boundary weights c."""
     idx = generate_Hn_star(n)
     pts = _node_points(idx, n)
-    w = np.array([float(weight_c(k, n)) for k in idx])
+    w = 1.0 / class_sizes(idx, n)
     vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts))) * w
     return complex(vals.sum() / (4 * n**3))
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -257,3 +258,34 @@ def test_verify_passes(capsys):
 def test_bad_subcommand_usage(capsys):
     code, _, _ = run(capsys, "nosuch")
     assert code == 1
+
+
+# sha256 of stdout: any change to node order, strata labels, weights or
+# float printing changes a digest
+OUTPUT_SHA256 = {
+    ("nodes", "--set", "hn", "--n", "3"):
+        "ab128bfbf1e4ef46c83e1231cd726dda486572aa410ef3f035bacfcce0701494",
+    ("nodes", "--set", "hn", "--n", "3", "--format", "json"):
+        "fc0ba08ce7d3c3f55555424dead3f91cc3fd709b2c812631391ede34b9b73db4",
+    ("nodes", "--set", "hstar", "--n", "3"):
+        "c704e2328d4a97f27cb91951a4bb2b7b6b944ed49d70bc4378d13bb8c018880d",
+    ("nodes", "--set", "hstar", "--n", "3", "--format", "json"):
+        "cbad3d268c3c723febdea03bc0cf28da451604a8886716edead4d826fa336498",
+    ("nodes", "--set", "hcirc", "--n", "3"):
+        "502d10ce8d342b1ec847ff5a3d28a18a95fdfb14e478a6dc2d569461717b3eb0",
+    ("nodes", "--set", "hcirc", "--n", "3", "--format", "json"):
+        "932cc98504aa6d2385b7ddd067a45fd6c716e1ba7b7b899f2c333b51b0e97ecb",
+    ("nodes", "--set", "lambda", "--n", "3"):
+        "bb9a83c91470f8704a88ea7d361507d26ee23539a2506bb731c0909bb19f6904",
+    ("nodes", "--set", "lambda", "--n", "3", "--format", "json"):
+        "b91b55a16bc7eaeff978a2280852589d0c94facb51851ad11da57b243e4d84ba",
+    ("verify", "--n", "2"):
+        "eaed9ac75057f8c777d865864ed443260db7afa4349992541a6be73ca3390c4c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_SHA256), ids=" ".join)
+def test_output_bytes_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]

@@ -13,6 +13,8 @@ from fcctrig.indexsets import (
     lambda_circ_nodes,
     lambda_nodes,
     lambda_weights,
+    lambdas,
+    strata,
     stratum_counts,
     stratum_of_index,
     tetra_stratum,
@@ -223,6 +225,14 @@ def test_tetra_stratum_rejects():
         tetra_stratum((0, 4, 0, -4), 2)  # not monotone
     with pytest.raises(ValueError):
         tetra_stratum((12, 0, 0, -12), 2)  # outside the degree-2 set
+
+
+def test_array_routines_reject_any_bad_row():
+    n = 2
+    with pytest.raises(ValueError, match="outside"):
+        strata(np.vstack([generate_Hn_star(n), [[12, 0, 0, -12]]]), n)
+    with pytest.raises(ValueError, match="non-increasing"):
+        lambdas(np.vstack([lambda_nodes(n), [[0, 4, 0, -4]]]), n)
 
 
 def test_to_reduced_round_trip():

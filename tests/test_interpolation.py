@@ -319,6 +319,32 @@ def test_interpolant_call_shapes():
     assert np.abs(vb - v).max() < 1e-12
 
 
+def test_interpolant_call_rejects_wrong_last_axis():
+    I = interp_In_star(smooth_probe, 1)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        I(np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_interpolant_call_rejects_non_finite(bad):
+    I = interp_Ln_star(smooth_probe, 2)
+    pts = tetra_grid(2)
+    pts[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        I(pts)
+
+
+def test_interpolant_call_rejects_off_hyperplane():
+    I = interp_In_star(lambda t: np.cos(np.asarray(t)[..., 0]), 2)
+    t = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="zero-sum"):
+        I(t)
+    # the projection onto the hyperplane is accepted, and so is rounding drift
+    p = t - t.mean()
+    assert np.isfinite(I(p))
+    assert abs(I(p + 1e-12) - I(p)) < 1e-9
+
+
 def test_tetra_grid_properties():
     g = 5
     pts = tetra_grid(g)

@@ -1,5 +1,6 @@
 import pytest
 
+from fcctrig import _parallel
 from fcctrig._parallel import map_chunks, thread_count
 
 
@@ -28,3 +29,32 @@ def test_map_chunks_preserves_order(monkeypatch):
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
     assert map_chunks(lambda c: -c, chunks) == [-c for c in chunks]
     assert map_chunks(lambda c: c, []) == []
+
+
+def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
+    # the stub pool runs the map inline, so no thread is ever started
+    requested = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", StubPool)
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FCC_TRIG_THREADS", "64")
+    chunks = list(range(10))
+    assert map_chunks(lambda c: c + 1, chunks) == [c + 1 for c in chunks]
+    assert requested == [2]
+    # one CPU: the serial path, no pool at all
+    monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 1)
+    assert map_chunks(lambda c: c + 1, chunks) == [c + 1 for c in chunks]
+    assert requested == [2]
