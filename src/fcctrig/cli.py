@@ -239,10 +239,7 @@ def cmd_interpolate(args) -> int:
         interp = builder(f, n)
     else:
         raise _UsageError("interpolate needs either --f or --samples")
-    if kind in ("ln", "lnstar"):
-        grid = interpolation.tetra_grid(args.grid)
-    else:
-        grid = interpolation.dodeca_grid(args.grid)
+    grid = interpolation._KINDS[kind].grid(args.grid)
     approx = np.asarray(interp(grid), dtype=complex)
     header = ["t1", "t2", "t3", "t4", "approx_re", "approx_im"]
     rows = [
@@ -330,12 +327,10 @@ def _verify_checks(n: int, rng: np.random.Generator):
 
     # cubature integrates the star frequencies of degree 2n-1 to delta
     big = indexsets.generate_Hn_star(2 * n - 1)
-    errs = []
-    for k in big:
-        val = transforms.cubature_dodeca(lambda t: lattice.phi(k, t), n)
-        want = 1.0 if not np.any(k) else 0.0
-        errs.append(abs(val - want))
-    err = float(max(errs))
+    star = indexsets.generate_Hn_star(n)
+    e = np.exp(0.5j * np.pi * (star.astype(float) / (4.0 * n)) @ big.astype(float).T)
+    vals = (1.0 / indexsets.class_sizes(star, n)) @ e / (4 * n**3)
+    err = float(np.abs(vals - np.all(big == 0, axis=1)).max())
     yield f"cubature exactness degree {n}", err < 1e-10, f"max err {err:.2e}"
 
     # compact forms against their summation oracles

@@ -1,42 +1,63 @@
 """The four interpolation operators and their Lebesgue constants.
 
-Kinds and node sets:
-
-==========  =========================  ==============================
-kind        nodes                      fundamental function
-==========  =========================  ==============================
-``in``      half-open set (4n^3)       Phi_n(t - node)
-``instar``  symmetric set              Phi_n*(t - node)
-``ln``      strictly interior
-            tetrahedral (sine)         (6/n^3) P- of the theta difference
-``lnstar``  tetrahedral (cosine)       lambda_j P+ Phi_n*(t - node)
-==========  =========================  ==============================
-
 An interpolant stores the raw node values; evaluation is a kernel sum
 over the nodes (no linear solve exists or is needed, the operators are
-diagonal in node space).  ``instar`` interpolates only at interior nodes;
-at a boundary node it produces the plain sum of f over the node's
-congruence class, so boundary values are matched only by data that
-vanishes there.  Its output is still a polynomial with frequencies in
-the symmetric set, which is what the tetrahedral operators need.
+diagonal in node space).  Every fundamental function is a weighted
+exponential sum over a frequency set K, averaged over images j sigma of
+its node j under S4:
+ell_j(t) = a_j mean_sigma s_sigma sum_k w_k phi_k(t - j sigma / 4n).
 
-``ln`` has no nodes at all below degree 4 (the strictly interior
-tetrahedral set is empty) and is then the zero operator.
+==========  ====================  ========  ========  ============  ========
+kind        nodes j               K         w_k       s_sigma       a_j
+==========  ====================  ========  ========  ============  ========
+``in``      H_n (half open)       H_n       1/4n^3    no images     1
+``instar``  H_n* (closed)         H_n*      c_k/4n^3  no images     1
+``ln``      tetrahedral interior  H_n circ  6/n^3     24, signed    1
+``lnstar``  tetrahedral           H_n*      c_k/4n^3  24, unsigned  lambda_j
+==========  ====================  ========  ========  ============  ========
+
+with c_k = 1/(class size of k).  So ``in`` and ``instar`` use Phi_n and
+Phi_n*, ``lnstar`` is lambda_j P+ Phi_n*, and ``ln`` is (6/n^3) P- of the
+theta difference theta_n - theta_{n-1}, the Dirichlet kernel of
+H_{n-1}* = H_n circ.  ``instar`` interpolates only at interior nodes; at
+a boundary node it produces the plain sum of f over the node's
+congruence class, so boundary values are matched only by data that
+vanishes there.  Its output is still a polynomial with frequencies in the
+symmetric set, which is what the tetrahedral operators need.  ``ln`` has
+no nodes at all below degree 4 (the strictly interior tetrahedral set is
+empty) and is then the zero operator.
+
+Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
+k' = to_reduced(k) and y = t[:3], and every node lies on the grid m / 4n,
+m in Z^3.  So per point one FFT of the weights on a (4n)^3 cube, times
+the phases exp(2 pi i k'.y), gives the kernel at y - m/4n for every m,
+and the fundamental functions are gathered from it.  Interpolant
+evaluation and the Lebesgue scan run this one routine,
+``_map_fundamental``, chunk by chunk; a chunk holds two arrays of at most
+max(2^20, (4n)^3) complex elements (16 MB each up to n = 25) per worker,
+whatever the node count.  The compact forms (``ell_tri``,
+``ell_circ``, ``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are
+the paper's identities and the oracles this route is tested against.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
+    class_sizes,
     generate_Hn,
+    generate_Hn_circ,
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
     lambda_weights,
+    lambdas,
+    to_reduced,
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
@@ -45,27 +66,14 @@ from .symmetry import PERM_SIGNS, PERM_TABLE
 from .transforms import unit_cell_points
 from .trigbasis import tc, ts
 
-KINDS = ("in", "instar", "ln", "lnstar")
-
-
 def node_set(kind: str, n: int) -> np.ndarray:
-    if kind == "in":
-        return generate_Hn(n)
-    if kind == "instar":
-        return generate_Hn_star(n)
-    if kind == "ln":
-        return lambda_circ_nodes(n)
-    if kind == "lnstar":
-        return lambda_nodes(n)
-    raise ValueError(f"unknown interpolation kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown interpolation kind {kind!r}")
+    return _KINDS[kind].nodes(n)
 
 
 # ---------------------------------------------------------------------------
-# fundamental functions
-
-
-def _theta_diff(n: int, t) -> np.ndarray:
-    return theta_n(n, t) - theta_n(n - 1, t)
+# fundamental functions, compact forms
 
 
 def ell_circ(j, n: int, t) -> np.ndarray:
@@ -77,7 +85,7 @@ def ell_circ(j, n: int, t) -> np.ndarray:
     j = hindex(j)
     t = np.asarray(t, dtype=float)
     imgs = t[..., PERM_TABLE] - j.astype(float) / (4.0 * n)
-    vals = _theta_diff(n, imgs)
+    vals = theta_n(n, imgs) - theta_n(n - 1, imgs)
     return (vals * PERM_SIGNS).sum(axis=-1) * (6.0 / n**3) / 24.0
 
 
@@ -115,6 +123,99 @@ def ell_tri_tc_sum(j, n: int, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# evaluation grids
+
+
+def tetra_grid(grid_per_axis: int) -> np.ndarray:
+    """Homogeneous points covering the closed tetrahedron.
+
+    Barycentric-style sweep of the three consecutive coordinate gaps over
+    i + j + k <= grid_per_axis; includes all faces and vertices.
+    """
+    g = grid_per_axis
+    if g < 1:
+        raise ValueError("grid must have at least 1 step per axis")
+    rows = [
+        (i / g, j / g, k / g)
+        for i in range(g + 1)
+        for j in range(g + 1 - i)
+        for k in range(g + 1 - i - j)
+    ]
+    u = np.array(rows)
+    t4 = -(u[:, 0] + 2.0 * u[:, 1] + 3.0 * u[:, 2]) / 4.0
+    t1 = t4 + u.sum(axis=1)
+    t2 = t4 + u[:, 1] + u[:, 2]
+    t3 = t4 + u[:, 2]
+    return np.stack([t1, t2, t3, t4], axis=-1)
+
+
+def dodeca_grid(grid_per_axis: int) -> np.ndarray:
+    """Unit-cell sampling folded into the fundamental dodecahedron."""
+    return fold_to_omega_H(unit_cell_points(grid_per_axis))
+
+
+# ---------------------------------------------------------------------------
+# fundamental functions, one FFT route for every kind
+
+
+# One row of the module docstring's table: node set of n, frequency set K
+# of n, weights w_k of (K, n), signs s_sigma of the first len(signs) rows of
+# PERM_TABLE (the identity comes first), whether a_j = lambda_j, and the
+# evaluation grid of grid_per_axis on the kind's domain.
+_Kind = namedtuple("_Kind", "nodes freqs weights signs lam grid")
+
+
+def _star_weights(kk: np.ndarray, n: int) -> np.ndarray:
+    return 1.0 / (4 * n**3 * class_sizes(kk, n))
+
+
+_KINDS = {
+    "in": _Kind(generate_Hn, generate_Hn, lambda kk, n: 1.0 / (4 * n**3),
+                np.ones(1), False, dodeca_grid),
+    "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
+                    np.ones(1), False, dodeca_grid),
+    "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda kk, n: 6.0 / n**3,
+                PERM_SIGNS, False, tetra_grid),
+    "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
+                    np.ones(24), True, tetra_grid),
+}
+KINDS = tuple(_KINDS)
+
+# complex elements in a chunk's cube and in its gathered values (16 MB)
+_CHUNK_ELEMENTS = 2**20
+
+
+def _map_fundamental(kind: str, n: int, nodes, pts: np.ndarray, reduce) -> list:
+    """reduce(ell) for each chunk of pts, in order; ell[p, j] = ell_j(pts[p]).
+
+    A chunk holds max(1, _CHUNK_ELEMENTS // max((4n)^3, nodes * images))
+    points; see the module docstring for the route.
+    """
+    spec = _KINDS[kind]
+    size = 4 * n
+    strides = np.array([size * size, size, 1])
+    kk = spec.freqs(n)
+    coef = np.zeros((size, size, size), dtype=complex)
+    coef.flat[(to_reduced(kk) % size) @ strides] = spec.weights(kk, n)
+    # flat cube position of every image j sigma of every node, (nodes, images)
+    at = (nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size) @ strides
+    signs = spec.signs / len(spec.signs)
+    factor = lambdas(nodes, n) if spec.lam else 1.0
+    freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
+
+    def chunk(p: np.ndarray):
+        phase = np.exp((p[:, :3, None] % 1.0) * freq)  # (m, 3, 4n)
+        cube = coef * phase[:, 0, :, None, None]
+        cube *= phase[:, 1, None, :, None]
+        cube *= phase[:, 2, None, None, :]
+        np.fft.fftn(cube, axes=(1, 2, 3), out=cube)
+        return reduce(cube.reshape(len(p), -1)[:, at] @ signs * factor)
+
+    rows = max(1, _CHUNK_ELEMENTS // max(size**3, at.size))
+    return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])
+
+
+# ---------------------------------------------------------------------------
 # interpolants
 
 
@@ -144,43 +245,9 @@ class Interpolant:
         scale = np.maximum(1.0, np.abs(t).max(axis=-1))
         if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * scale):
             raise ValueError("points must lie on the zero-sum hyperplane")
-        if len(self.nodes) == 0:
-            return np.zeros(t.shape[:-1], dtype=complex)
-        vals = self.values.astype(complex)
-        if self.kind == "lnstar":
-            vals = lambda_weights(self.n).astype(float) * vals
-        chunks = _split(t.reshape(-1, 4), self._chunk_rows())
-        out = map_chunks(lambda pts: self._eval_chunk(pts, vals), chunks)
+        out = _map_fundamental(self.kind, self.n, self.nodes, t.reshape(-1, 4),
+                               lambda ell: ell @ self.values)
         return np.concatenate(out).reshape(t.shape[:-1])
-
-    def _chunk_rows(self) -> int:
-        per_point = len(self.nodes) * (24 if self.kind in ("ln", "lnstar") else 1)
-        return max(16, int(2**21 // max(per_point, 1)))
-
-    def _eval_chunk(self, pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Kernel sum at pts; for ``lnstar`` vals already carry the weights lambda."""
-        n = self.n
-        xp = self.nodes.astype(float) / (4.0 * n)
-        if self.kind == "in":
-            kk = generate_Hn(n).astype(float)
-            et = np.exp(0.5j * np.pi * (pts @ kk.T))
-            ex = np.exp(0.5j * np.pi * (xp @ kk.T))
-            return (et @ (np.conj(ex).T @ vals)) / (4 * n**3)
-        if self.kind == "instar":
-            diffs = pts[:, None, :] - xp[None, :, :]
-            return phi_n_star(n, diffs) @ vals
-        imgs = pts[:, PERM_TABLE]  # (m, 24, 4)
-        diffs = imgs[:, :, None, :] - xp[None, None, :, :]
-        if self.kind == "ln":
-            g = _theta_diff(n, diffs) @ vals
-            return (g * PERM_SIGNS).sum(axis=-1) * (6.0 / n**3) / 24.0
-        if self.kind == "lnstar":
-            return (phi_n_star(n, diffs) @ vals).mean(axis=-1)
-        raise ValueError(f"unknown interpolation kind {self.kind!r}")
-
-
-def _split(arr: np.ndarray, rows: int) -> list:
-    return [arr[i : i + rows] for i in range(0, len(arr), rows)]
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
@@ -239,35 +306,7 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
 
 
 # ---------------------------------------------------------------------------
-# evaluation grids and Lebesgue constants
-
-
-def tetra_grid(grid_per_axis: int) -> np.ndarray:
-    """Homogeneous points covering the closed tetrahedron.
-
-    Barycentric-style sweep of the three consecutive coordinate gaps over
-    i + j + k <= grid_per_axis; includes all faces and vertices.
-    """
-    g = grid_per_axis
-    if g < 1:
-        raise ValueError("grid must have at least 1 step per axis")
-    rows = [
-        (i / g, j / g, k / g)
-        for i in range(g + 1)
-        for j in range(g + 1 - i)
-        for k in range(g + 1 - i - j)
-    ]
-    u = np.array(rows)
-    t4 = -(u[:, 0] + 2.0 * u[:, 1] + 3.0 * u[:, 2]) / 4.0
-    t1 = t4 + u.sum(axis=1)
-    t2 = t4 + u[:, 1] + u[:, 2]
-    t3 = t4 + u[:, 2]
-    return np.stack([t1, t2, t3, t4], axis=-1)
-
-
-def dodeca_grid(grid_per_axis: int) -> np.ndarray:
-    """Unit-cell sampling folded into the fundamental dodecahedron."""
-    return fold_to_omega_H(unit_cell_points(grid_per_axis))
+# Lebesgue constants
 
 
 def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
@@ -282,54 +321,14 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     spacing ``1 / (4n)``.  A grid whose points are all nodes returns the
     trivial floor, e.g. 1.0 for ``lnstar`` and 6.0 for ``instar`` at n = 8
     on grid 8.
+
+    sum_j |ell_j(t)| comes from the routine that evaluates interpolants
+    (module docstring): one FFT of size (4n)^3 per grid point and about
+    two arrays of at most max(2^20, (4n)^3) complex elements per worker.
     """
-    nodes = node_set(kind, n)
-    if len(nodes) == 0:
-        return 0.0
-    xp = nodes.astype(float) / (4.0 * n)
-    if kind in ("ln", "lnstar"):
-        grid = tetra_grid(grid_per_axis)
-    else:
-        grid = dodeca_grid(grid_per_axis)
-
-    if kind == "in":
-        kk = generate_Hn(n).astype(float)
-        ex = np.exp(0.5j * np.pi * (xp @ kk.T))
-
-        def leb(chunk):
-            et = np.exp(0.5j * np.pi * (chunk @ kk.T))
-            return float(
-                np.abs(et @ np.conj(ex).T).sum(axis=-1).max() / (4 * n**3)
-            )
-
-        rows = max(16, int(2**21 // max(len(kk), 1)))
-    elif kind == "instar":
-
-        def leb(chunk):
-            diffs = chunk[:, None, :] - xp[None, :, :]
-            return float(np.abs(phi_n_star(n, diffs)).sum(axis=-1).max())
-
-        rows = max(16, int(2**22 // max(len(nodes), 1)))
-    elif kind == "ln":
-
-        def leb(chunk):
-            imgs = chunk[:, PERM_TABLE]
-            diffs = imgs[:, :, None, :] - xp[None, None, :, :]
-            vals = (_theta_diff(n, diffs) * PERM_SIGNS[:, None]).sum(axis=1)
-            return float(np.abs(vals * (6.0 / n**3) / 24.0).sum(axis=-1).max())
-
-        rows = max(8, int(2**21 // max(24 * len(nodes), 1)))
-    elif kind == "lnstar":
-        lam = lambda_weights(n).astype(float)
-
-        def leb(chunk):
-            imgs = chunk[:, PERM_TABLE]
-            diffs = imgs[:, :, None, :] - xp[None, None, :, :]
-            vals = phi_n_star(n, diffs).mean(axis=1) * lam
-            return float(np.abs(vals).sum(axis=-1).max())
-
-        rows = max(8, int(2**21 // max(24 * len(nodes), 1)))
-    else:
-        raise ValueError(f"unknown interpolation kind {kind!r}")
-
-    return max(map_chunks(leb, _split(grid, rows)))
+    return max(
+        _map_fundamental(
+            kind, n, node_set(kind, n), _KINDS[kind].grid(grid_per_axis),
+            lambda ell: float(np.abs(ell).sum(axis=1).max()),
+        )
+    )

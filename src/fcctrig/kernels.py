@@ -2,9 +2,10 @@
 
 Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set in fixed lexicographic order.  The
-compact forms are the production path; the direct forms are the oracles the
-tests compare against.  All kernels accept arrays of points of shape
-(..., 4) and broadcast.
+compact forms are production code only for the ``kernel`` CLI command and
+``lebesgue_Sn``; interpolation runs one FFT route (see ``interpolation``),
+and the compact and direct forms are its oracles.  All kernels accept
+arrays of points of shape (..., 4) and broadcast.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node
@@ -71,8 +72,8 @@ def dirichlet_direct(n: int, t) -> np.ndarray:
 def phi_n_fund(n: int, t) -> np.ndarray:
     """Fundamental interpolation kernel of the half-open node set.
 
-    Mean of the 4n^3 exponentials; there is no shorter closed form, so the
-    sum itself is the production path.
+    Mean of the 4n^3 exponentials; there is no shorter closed form.  The
+    ``in`` interpolant is tested against sums of this kernel.
     """
     t = np.asarray(t, dtype=float)
     kk = generate_Hn(n).astype(float)

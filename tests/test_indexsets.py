@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fcctrig.indexsets import (
+    class_sizes,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -242,3 +243,15 @@ def test_to_reduced_round_trip():
         s = int(kp.sum())
         rebuilt = tuple(int(4 * v - s) for v in kp) + (-s,)
         assert rebuilt == tuple(int(v) for v in k)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_sizes_are_residue_multiplicities(n):
+    # nodes k/(4n) and m/(4n) are congruent exactly when k[:3] = m[:3] mod 4n;
+    # the 4n^3 residues are the grid the interpolants gather from
+    kk = generate_Hn_star(n)
+    res, inverse, counts = np.unique(
+        kk[:, :3] % (4 * n), axis=0, return_inverse=True, return_counts=True
+    )
+    assert len(res) == 4 * n**3
+    assert np.array_equal(class_sizes(kk, n), counts[inverse.reshape(-1)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from fcctrig.interpolation import (
     node_set,
     tetra_grid,
 )
-from fcctrig.kernels import dirichlet, phi_n_fund
+from fcctrig.kernels import dirichlet, phi_n_fund, phi_n_star
 from fcctrig.lattice import in_omega_H, phi
 from fcctrig.symmetry import GROUP, project_minus
 from fcctrig.transforms import fourier_coeffs, partial_sum
@@ -146,20 +148,67 @@ def test_interp_In_reproduces_its_polynomial_space(n):
     assert np.abs(I(t) - f(t)).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_interp_In_factorized_matches_kernel_sum(n):
-    # the production evaluation is factorized through the frequency basis;
-    # the plain fundamental-kernel sum is the oracle
+def singular_probes(rng, m):
+    t = rng.uniform(-0.4, 0.4, size=(m, 4))
+    t[:, 0] = rng.integers(-2, 3, size=m) + rng.uniform(-1e-7, 1e-7, size=m)
+    return t - t.mean(axis=1, keepdims=True)
+
+
+def compact_fundamentals(kind, n, nodes, t):
+    """ell_j(t) of every node from the compact kernels, shape (points, nodes)."""
+    x = nodes.astype(float) / (4.0 * n)
+    if kind == "in":
+        return np.stack([phi_n_fund(n, t - xj) for xj in x], axis=-1)
+    if kind == "instar":
+        return np.stack([phi_n_star(n, t - xj) for xj in x], axis=-1)
+    ell = ell_circ if kind == "ln" else ell_tri
+    return np.stack([ell(tuple(int(v) for v in j), n, t) for j in nodes], axis=-1)
+
+
+KIND_DEGREES = [
+    (kind, n) for kind in ("in", "instar", "lnstar") for n in range(1, 6)
+] + [("ln", n) for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("kind, n", KIND_DEGREES)
+def test_interp_In_factorized_matches_kernel_sum(kind, n):
+    # production evaluation of every kind is one FFT route over the weighted
+    # frequency set; the compact fundamental-kernel sum is the oracle, on
+    # random points, near-singular probes and the nodes themselves
     rng = np.random.default_rng(44)
-    nodes = node_set("in", n)
+    nodes = node_set(kind, n)
     vals = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
-    I = Interpolant(kind="in", n=n, nodes=nodes, values=vals)
-    t = rand_t(rng, 30)
-    direct = sum(
-        v * phi_n_fund(n, t - k.astype(float) / (4.0 * n))
-        for k, v in zip(nodes, vals)
+    I = Interpolant(kind=kind, n=n, nodes=nodes, values=vals)
+    t = np.vstack(
+        [rand_t(rng, 30), singular_probes(rng, 10), nodes[:10].astype(float) / (4.0 * n)]
     )
-    assert np.abs(I(t) - direct).max() < 1e-9
+    direct = compact_fundamentals(kind, n, nodes, t) @ vals
+    assert np.abs(I(t) - direct).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, n, grid", [("in", 2, 4), ("instar", 2, 4), ("ln", 4, 5), ("lnstar", 2, 5)]
+)
+def test_lebesgue_interp_matches_compact_abs_sum(kind, n, grid):
+    pts = tetra_grid(grid) if kind in ("ln", "lnstar") else dodeca_grid(grid)
+    ell = compact_fundamentals(kind, n, node_set(kind, n), pts)
+    want = float(np.abs(ell).sum(axis=1).max())
+    assert abs(lebesgue_interp(n, kind, grid_per_axis=grid) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "build, grid", [(interp_In, dodeca_grid(5)), (interp_Ln_star, tetra_grid(7))]
+)
+def test_evaluation_memory_is_bounded(build, grid):
+    # scratch is bounded per chunk, not proportional to nodes x frequencies
+    # (the n = 8 cases needed 132 MB and 125 MB that way)
+    tracemalloc.start()
+    try:
+        build(smooth_probe, 8)(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
