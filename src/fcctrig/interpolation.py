@@ -27,17 +27,14 @@ symmetric set, which is what the tetrahedral operators need.  ``ln`` has
 no nodes at all below degree 4 (the strictly interior tetrahedral set is
 empty) and is then the zero operator.
 
-Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
-k' = to_reduced(k) and y = t[:3], and every node lies on the grid m / 4n,
-m in Z^3.  So per point one FFT of the weights on a (4n)^3 cube, times
-the phases exp(2 pi i k'.y), gives the kernel at y - m/4n for every m,
-and the fundamental functions are gathered from it.  Interpolant
-evaluation and the Lebesgue scan run this one routine,
-``_map_fundamental``, chunk by chunk; a chunk holds two arrays of at most
-max(2^20, (4n)^3) complex elements (16 MB each up to n = 25) per worker,
-whatever the node count.  The compact forms (``ell_tri``,
-``ell_circ``, ``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are
-the paper's identities and the oracles this route is tested against.
+Evaluation route.  Every node lies on the grid m / 4n, m in Z^3, so the
+fundamental functions at a point are a gather, at the node images, from
+the kernel cube of ``transforms._map_cube`` of size 4n (one FFT per
+point, memory per chunk bounded there whatever the node count).
+Interpolant evaluation and the Lebesgue scan both run this one routine,
+``_map_fundamental``.  The compact forms (``ell_tri``, ``ell_circ``,
+``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are the paper's
+identities and the oracles this route is tested against.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_chunks
 from .indexsets import (
     class_sizes,
     generate_Hn,
@@ -57,13 +53,12 @@ from .indexsets import (
     lambda_nodes,
     lambda_weights,
     lambdas,
-    to_reduced,
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
 from .lattice import fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import unit_cell_points
+from .transforms import _map_cube, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -181,38 +176,22 @@ _KINDS = {
 }
 KINDS = tuple(_KINDS)
 
-# complex elements in a chunk's cube and in its gathered values (16 MB)
-_CHUNK_ELEMENTS = 2**20
-
-
 def _map_fundamental(kind: str, n: int, nodes, pts: np.ndarray, reduce) -> list:
-    """reduce(ell) for each chunk of pts, in order; ell[p, j] = ell_j(pts[p]).
-
-    A chunk holds max(1, _CHUNK_ELEMENTS // max((4n)^3, nodes * images))
-    points; see the module docstring for the route.
-    """
+    """reduce(ell) for each chunk of pts, in order; ell[p, j] = ell_j(pts[p]),
+    gathered from the kernel cube at the node images (module docstring)."""
     spec = _KINDS[kind]
     size = 4 * n
-    strides = np.array([size * size, size, 1])
     kk = spec.freqs(n)
-    coef = np.zeros((size, size, size), dtype=complex)
-    coef.flat[(to_reduced(kk) % size) @ strides] = spec.weights(kk, n)
     # flat cube position of every image j sigma of every node, (nodes, images)
-    at = (nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size) @ strides
+    at = nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size
+    at = at @ [size * size, size, 1]
     signs = spec.signs / len(spec.signs)
     factor = lambdas(nodes, n) if spec.lam else 1.0
-    freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
-
-    def chunk(p: np.ndarray):
-        phase = np.exp((p[:, :3, None] % 1.0) * freq)  # (m, 3, 4n)
-        cube = coef * phase[:, 0, :, None, None]
-        cube *= phase[:, 1, None, :, None]
-        cube *= phase[:, 2, None, None, :]
-        np.fft.fftn(cube, axes=(1, 2, 3), out=cube)
-        return reduce(cube.reshape(len(p), -1)[:, at] @ signs * factor)
-
-    rows = max(1, _CHUNK_ELEMENTS // max(size**3, at.size))
-    return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])
+    return _map_cube(
+        kk, spec.weights(kk, n), size, pts,
+        lambda cube: reduce(cube.reshape(len(cube), -1)[:, at] @ signs * factor),
+        at.size,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set in fixed lexicographic order.  The
-compact forms are production code only for the ``kernel`` CLI command and
-``lebesgue_Sn``; interpolation runs one FFT route (see ``interpolation``),
-and the compact and direct forms are its oracles.  All kernels accept
-arrays of points of shape (..., 4) and broadcast.
+compact forms are production code only for the ``kernel`` CLI command;
+interpolation, the Lebesgue scans and Fourier coefficients run FFTs on the
+lattice cube (``transforms``), and the compact and direct forms are their
+oracles.  All kernels accept arrays of points of shape (..., 4) and broadcast.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .indexsets import _from_reduced, to_reduced
 from .interpolation import interp_Ln_star
 from .lattice import hindex
 
 
 def index_h_to_regular(j) -> tuple:
     """Reduced index (j_i - j_4)/4, i = 1..3; exact on valid frequency indices."""
-    j = hindex(j)
-    return tuple(int((j[i] - j[3]) // 4) for i in range(3))
+    return tuple(to_reduced(hindex(j)).tolist())
 
 
 def index_regular_to_h(k) -> np.ndarray:
@@ -32,8 +32,7 @@ def index_regular_to_h(k) -> np.ndarray:
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (3,):
         raise ValueError("regular index needs 3 components")
-    s = int(k.sum())
-    return np.array([4 * k[0] - s, 4 * k[1] - s, 4 * k[2] - s, -s], dtype=np.int64)
+    return _from_reduced(k)
 
 
 def point_h_to_regular(t) -> np.ndarray:

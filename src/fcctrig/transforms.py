@@ -27,7 +27,6 @@ from .indexsets import (
     lambda_weights,
     to_reduced,
 )
-from .kernels import dirichlet
 from .lattice import A_MATRIX, to_homogeneous
 
 
@@ -135,14 +134,15 @@ class FourierCoeffs:
 
 
 def fourier_coeffs(f, n: int, quad_order: int | None = None) -> FourierCoeffs:
-    """Coefficients of f against the star frequency set via the cell grid."""
-    if quad_order is None:
-        quad_order = 4 * n + 4
-    pts = unit_cell_points(quad_order)
-    fv = np.asarray(f(pts), dtype=complex)
+    """Coefficients of f against the star frequency set via the cell grid.
+
+    One FFT of f on the q^3 grid (t[:3] = u / q), read at to_reduced(k) mod
+    q; frequencies congruent mod q alias when q < 2n + 1.
+    """
+    q = 4 * n + 4 if quad_order is None else quad_order
     kk = generate_Hn_star(n)
-    e = np.exp(0.5j * np.pi * (pts @ kk.astype(float).T))
-    coeffs = np.conj(e).T @ fv / len(pts)
+    fv = np.asarray(f(unit_cell_points(q)), dtype=complex).reshape(q, q, q)
+    coeffs = np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3
     values = {
         tuple(int(v) for v in k): complex(c) for k, c in zip(kk, coeffs)
     }
@@ -160,19 +160,47 @@ def partial_sum(coeffs: FourierCoeffs, t) -> np.ndarray:
 def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
     """Grid estimate of the partial-sum operator norm.
 
-    Maximum over a t-grid of the mean of |D_n(t - s)| over a quadrature
-    grid in s.  Both grids sample the unit cell, so this is a lower
-    estimate of the true norm.  Cost grows as (grid * quad)^3; the
-    defaults suit n up to about 8 on a workstation, smaller grids are fine
-    for quick looks.
+    Maximum over the unit-cell t-grid of the mean of |D_n(t - s)| over the
+    unit-cell quadrature grid in s, a lower estimate of the true norm.
+    It costs grid_per_axis^3 FFTs of size (q r)^3, q = quad_order and
+    r = ceil((2n + 2) / q): D_n(t - s) at every s is every r-th cell of
+    one ``_map_cube`` cube.
     """
-    tg = unit_cell_points(grid_per_axis)
-    sg = unit_cell_points(quad_order)
-    step = max(1, int(2**22 // max(len(sg), 1)))
-    chunks = [tg[i : i + step] for i in range(0, len(tg), step)]
+    if quad_order < 2:
+        raise ValueError("quadrature order must be at least 2")
+    r = -(-(2 * n + 2) // quad_order)
+    return max(_map_cube(
+        generate_Hn_star(n), 1.0, quad_order * r, unit_cell_points(grid_per_axis),
+        lambda cube: float(np.abs(cube[:, ::r, ::r, ::r]).mean(axis=(1, 2, 3)).max()),
+    ))
 
-    def worst(chunk):
-        diffs = chunk[:, None, :] - sg[None, :, :]
-        return float(np.abs(dirichlet(n, diffs)).mean(axis=1).max())
 
-    return max(map_chunks(worst, chunks))
+# complex elements in a chunk's cube and in any array its reduction forms
+_CHUNK_ELEMENTS = 2**20
+
+
+def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce, width: int = 0) -> list:
+    """reduce(cube) for each chunk of pts, in order, with cube[p, m] =
+    sum_k w_k phi_k(pts[p] - t_m) for each cell m of a size^3 cube and
+    t_m[:3] = m / size.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
+    k' = to_reduced(k) and y = t[:3]: the weights sit at k' mod size, times
+    the separable phases exp(2 pi i k'.y), and one in-place fftn per point
+    does the rest.  Each k' must lie in [-size/2, size/2)^3 (size >= 2n + 2
+    for H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // max(size^3, width))
+    points; width is the number of elements reduce forms per point.
+    """
+    strides = np.array([size * size, size, 1])
+    coef = np.zeros((size, size, size), dtype=complex)
+    coef.flat[(to_reduced(kk) % size) @ strides] = weights
+    freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
+
+    def chunk(p: np.ndarray):
+        phase = np.exp((p[:, :3, None] % 1.0) * freq)  # (m, 3, size)
+        cube = coef * phase[:, 0, :, None, None]
+        cube *= phase[:, 1, None, :, None]
+        cube *= phase[:, 2, None, None, :]
+        np.fft.fftn(cube, axes=(1, 2, 3), out=cube)
+        return reduce(cube)
+
+    rows = max(1, _CHUNK_ELEMENTS // max(size**3, width))
+    return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])

@@ -207,6 +207,12 @@ def test_lebesgue_json(capsys):
     assert obj["ratio_log3"] == pytest.approx(obj["estimate"] / math.log(2) ** 3)
 
 
+def test_lebesgue_sn_degree_zero_usage(capsys):
+    code, _, err = run(capsys, "lebesgue", "--kind", "sn", "--n", "0")
+    assert code == 1
+    assert "degree" in err
+
+
 def test_lebesgue_ratio_null_at_degree_one(capsys):
     code, out, _ = run(
         capsys, "lebesgue", "--kind", "instar", "--n", "1", "--grid", "5",

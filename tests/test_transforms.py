@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from fcctrig.indexsets import (
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
+    to_reduced,
     weight_lambda,
 )
-from fcctrig.kernels import dirichlet
+from fcctrig.kernels import dirichlet, dirichlet_direct
 from fcctrig.lattice import phi
 from fcctrig.transforms import (
     continuous_inner,
@@ -253,6 +256,15 @@ def test_fourier_coeffs_recover_polynomial(n):
     t = rng.uniform(-0.5, 0.5, size=(40, 4))
     t -= t.mean(axis=1, keepdims=True)
     assert np.abs(partial_sum(got, t) - f(t)).max() < 1e-9
+    # below 2n + 1 points per axis, frequencies congruent mod q alias: each
+    # coefficient is the sum over its class of to_reduced(k) mod q
+    q = 2 * n
+    aliased = fourier_coeffs(f, n, quad_order=q)
+    res = to_reduced(kk) % q
+    c = np.array(list(coef.values()))
+    for k, r in zip(coef, res):
+        want = c[(res == r).all(axis=1)].sum()
+        assert abs(aliased.values[k] - want) < 1e-10
 
 
 def test_partial_sum_projection_idempotent():
@@ -275,3 +287,42 @@ def test_lebesgue_Sn_small():
     vals = [lebesgue_Sn(n, grid_per_axis=5, quad_order=16) for n in (1, 2, 3)]
     assert vals[0] > 1.0
     assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.mark.parametrize("n, quad", [(1, 8), (2, 8), (3, 8), (4, 6)])
+def test_lebesgue_Sn_matches_direct_oracle(n, quad):
+    # max over t of the mean over s of |D_n(t - s)| by explicit exponential
+    # sums; quad 6 < 2n + 2 at n = 4 reads every second cell of a 12^3 cube
+    s = unit_cell_points(quad)
+    want = max(
+        float(np.abs(dirichlet_direct(n, t - s)).mean()) for t in unit_cell_points(3)
+    )
+    assert abs(lebesgue_Sn(n, grid_per_axis=3, quad_order=quad) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_lebesgue_Sn_rejects_degree_below_one(n):
+    with pytest.raises(ValueError):
+        lebesgue_Sn(n, grid_per_axis=3, quad_order=8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lebesgue_Sn(2, grid_per_axis=3, quad_order=64),
+        lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 5),
+    ],
+    ids=["lebesgue_Sn", "fourier_coeffs"],
+)
+def test_grid_sums_memory_is_bounded(call, monkeypatch):
+    # scratch is bounded per chunk and worker, not proportional to points x
+    # quadrature points or points x frequencies (about 1,080 MiB and 284 MiB
+    # that way); one worker keeps the peak independent of the CPU count
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * 2**20
