@@ -1,7 +1,7 @@
 """The four interpolation operators and their Lebesgue constants.
 
-An interpolant stores the raw node values; evaluation is a kernel sum
-over the nodes (no linear solve exists or is needed, the operators are
+An interpolant stores the raw node values and is a kernel sum over the
+nodes (no linear solve exists or is needed, the operators are
 diagonal in node space).  Every fundamental function is a weighted
 exponential sum over a frequency set K, averaged over images j sigma of
 its node j under S4:
@@ -27,14 +27,16 @@ symmetric set, which is what the tetrahedral operators need.  ``ln`` has
 no nodes at all below degree 4 (the strictly interior tetrahedral set is
 empty) and is then the zero operator.
 
-Evaluation route.  Every node lies on the grid m / 4n, m in Z^3, so the
-fundamental functions at a point are a gather, at the node images, from
-the kernel cube of ``transforms._map_cube`` of size 4n (one FFT per
-point, memory per chunk bounded there whatever the node count).
-Interpolant evaluation and the Lebesgue scan both run this one routine,
-``_map_fundamental``.  The compact forms (``ell_tri``, ``ell_circ``,
-``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are the paper's
-identities and the oracles this route is tested against.
+Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
+k' = to_reduced(k) in [-n, n]^3 and y = t[:3], so an interpolant is one
+(2n+1)^3 box of coefficients.  ``Interpolant._box`` adds a_j f_j at
+j[:3] mod 4n, takes one fftn F and sets c_k = w_k mean_sigma s_sigma
+F[to_reduced(k sigma) mod 4n]; ``transforms._eval_box`` evaluates the
+box, as it does Fourier partial sums.  ``lebesgue_interp`` needs each
+|ell_j| and gathers them at the node images from the per-point kernel
+cube of ``transforms._map_cube``.  The compact forms (``ell_tri``,
+``ell_circ``, ``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are
+the paper's identities and the oracles both routes are tested against.
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ from .indexsets import (
     lambda_nodes,
     lambda_weights,
     lambdas,
+    to_reduced,
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
 from .lattice import fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import _map_cube, unit_cell_points
+from .transforms import _check_points, _eval_box, _map_cube, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -150,13 +153,12 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fundamental functions, one FFT route for every kind
+# the four kinds, one table row each
 
 
-# One row of the module docstring's table: node set of n, frequency set K
-# of n, weights w_k of (K, n), signs s_sigma of the first len(signs) rows of
-# PERM_TABLE (the identity comes first), whether a_j = lambda_j, and the
-# evaluation grid of grid_per_axis on the kind's domain.
+# One row of the module docstring's table: node set of n, frequency set K of
+# n, weights w_k of (K, n), signs s_sigma of the first len(signs) rows of
+# PERM_TABLE (identity first), whether a_j = lambda_j, and the evaluation grid.
 _Kind = namedtuple("_Kind", "nodes freqs weights signs lam grid")
 
 
@@ -176,24 +178,6 @@ _KINDS = {
 }
 KINDS = tuple(_KINDS)
 
-def _map_fundamental(kind: str, n: int, nodes, pts: np.ndarray, reduce) -> list:
-    """reduce(ell) for each chunk of pts, in order; ell[p, j] = ell_j(pts[p]),
-    gathered from the kernel cube at the node images (module docstring)."""
-    spec = _KINDS[kind]
-    size = 4 * n
-    kk = spec.freqs(n)
-    # flat cube position of every image j sigma of every node, (nodes, images)
-    at = nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size
-    at = at @ [size * size, size, 1]
-    signs = spec.signs / len(spec.signs)
-    factor = lambdas(nodes, n) if spec.lam else 1.0
-    return _map_cube(
-        kk, spec.weights(kk, n), size, pts,
-        lambda cube: reduce(cube.reshape(len(cube), -1)[:, at] @ signs * factor),
-        at.size,
-    )
-
-
 # ---------------------------------------------------------------------------
 # interpolants
 
@@ -208,47 +192,47 @@ class Interpolant:
     values: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate at zero-sum points of shape (..., 4).
-
-        Raises ValueError when the last axis is not 4, an entry is not
-        finite, or a point is off the zero-sum hyperplane, i.e.
-        |sum t| > 1e-9 * max(1, max |t_i|).
-        """
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0 or t.shape[-1] != 4:
-            raise ValueError(
-                f"points need 4 coordinates on the last axis, got shape {t.shape}"
-            )
-        if not np.all(np.isfinite(t)):
-            raise ValueError("points must be finite")
+        """Evaluate at zero-sum points of shape (..., 4); ValueError when the
+        last axis is not 4, an entry is not finite, or |sum t| > 1e-9 *
+        max(1, max |t_i|)."""
+        t = _check_points(t)
         scale = np.maximum(1.0, np.abs(t).max(axis=-1))
         if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * scale):
             raise ValueError("points must lie on the zero-sum hyperplane")
-        out = _map_fundamental(self.kind, self.n, self.nodes, t.reshape(-1, 4),
-                               lambda ell: ell @ self.values)
-        return np.concatenate(out).reshape(t.shape[:-1])
+        return _eval_box(self._box(), t)
+
+    def _box(self) -> np.ndarray:
+        """The (2n+1)^3 coefficient box (module docstring)."""
+        spec, n, size = _KINDS[self.kind], self.n, 4 * self.n
+        a = self.values * lambdas(self.nodes, n) if spec.lam else self.values
+        F = np.zeros(size**3, dtype=complex)
+        np.add.at(F, (self.nodes[:, :3] % size) @ [size * size, size, 1], a)
+        F = np.fft.fftn(F.reshape(size, size, size))
+        kk = spec.freqs(n)
+        # phi_k(j sigma) = phi_{k sigma^-1}(j), and sigma -> sigma^-1 maps the
+        # summed images onto themselves and keeps s_sigma
+        c = sum(s * F[tuple((to_reduced(kk[:, p]) % size).T)]
+                for s, p in zip(spec.signs, PERM_TABLE))
+        box = np.zeros((2 * n + 1,) * 3, dtype=complex)
+        box[tuple((to_reduced(kk) + n).T)] = c * spec.weights(kk, n) / len(spec.signs)
+        return box
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
+    # node_set raises ValueError("degree must be >= 1") for n < 1
     nodes = node_set(kind, n)
-    if len(nodes) == 0:
-        values = np.zeros(0, dtype=complex)
-    else:
-        values = np.asarray(f(nodes.astype(float) / (4.0 * n)), dtype=complex)
+    pts = nodes.astype(float) / (4.0 * n)
+    values = np.asarray(f(pts), dtype=complex) if len(nodes) else np.zeros(0, complex)
     return Interpolant(kind=kind, n=n, nodes=nodes, values=values)
 
 
 def interp_In(f, n: int) -> Interpolant:
     """Interpolation on the half-open node set; exact at all 4n^3 nodes."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     return _build("in", n, f)
 
 
 def interp_In_star(f, n: int) -> Interpolant:
     """Symmetric-node interpolation; boundary nodes get congruence-class sums."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     return _build("instar", n, f)
 
 
@@ -261,8 +245,6 @@ def interp_Ln(f, n: int) -> Interpolant:
 
 def interp_Ln_star(f, n: int) -> Interpolant:
     """Cosine interpolation at all tetrahedral nodes."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     return _build("lnstar", n, f)
 
 
@@ -301,13 +283,20 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     trivial floor, e.g. 1.0 for ``lnstar`` and 6.0 for ``instar`` at n = 8
     on grid 8.
 
-    sum_j |ell_j(t)| comes from the routine that evaluates interpolants
-    (module docstring): one FFT of size (4n)^3 per grid point and about
-    two arrays of at most max(2^20, (4n)^3) complex elements per worker.
+    Every ell_j(t) is gathered at the node images from the kernel cube of
+    ``transforms._map_cube``: one FFT of size (4n)^3 per grid point, two
+    arrays of at most max(2^20, (4n)^3) complex elements per worker.
     """
-    return max(
-        _map_fundamental(
-            kind, n, node_set(kind, n), _KINDS[kind].grid(grid_per_axis),
-            lambda ell: float(np.abs(ell).sum(axis=1).max()),
-        )
-    )
+    nodes, spec, size = node_set(kind, n), _KINDS[kind], 4 * n
+    kk = spec.freqs(n)
+    # flat cube position of every image j sigma of every node, (nodes, images)
+    at = (nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size) @ [size * size, size, 1]
+    signs = spec.signs / len(spec.signs)
+    factor = lambdas(nodes, n) if spec.lam else 1.0
+
+    def reduce(cube):
+        ell = cube.reshape(len(cube), -1)[:, at] @ signs * factor
+        return float(np.abs(ell).sum(axis=1).max())
+
+    return max(_map_cube(kk, spec.weights(kk, n), size,
+                         spec.grid(grid_per_axis), reduce, at.size))

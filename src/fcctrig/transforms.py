@@ -19,6 +19,7 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
+    _from_reduced,
     class_sizes,
     generate_Hn,
     generate_Hn_star,
@@ -30,55 +31,53 @@ from .indexsets import (
 from .lattice import A_MATRIX, to_homogeneous
 
 
+def _check_points(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0 or t.shape[-1] != 4:
+        raise ValueError(
+            f"points need 4 coordinates on the last axis, got shape {t.shape}"
+        )
+    if not np.all(np.isfinite(t)):
+        raise ValueError("points must be finite")
+    return t
+
+
 def one(t) -> np.ndarray:
     """The constant function 1 in the vectorized calling convention."""
     return np.ones(np.asarray(t).shape[:-1])
 
 
-def _node_points(idx: np.ndarray, n: int) -> np.ndarray:
-    return idx.astype(float) / (4.0 * n)
+def _node_sum(f, g, idx: np.ndarray, n: int, w=1.0):
+    pts = idx.astype(float) / (4.0 * n)
+    return (np.asarray(f(pts)) * np.conj(np.asarray(g(pts))) * w).sum()
 
 
 def inner_n(f, g, n: int) -> complex:
     """Plain node average over the half-open set: (1/4n^3) sum f conj(g)."""
-    pts = _node_points(generate_Hn(n), n)
-    vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))
-    return complex(vals.sum() / (4 * n**3))
+    return complex(_node_sum(f, g, generate_Hn(n), n) / (4 * n**3))
 
 
 def inner_n_star(f, g, n: int) -> complex:
     """Weighted node sum over the symmetric set with the boundary weights c."""
     idx = generate_Hn_star(n)
-    pts = _node_points(idx, n)
-    w = 1.0 / class_sizes(idx, n)
-    vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts))) * w
-    return complex(vals.sum() / (4 * n**3))
+    return complex(_node_sum(f, g, idx, n, 1.0 / class_sizes(idx, n)) / (4 * n**3))
 
 
 def inner_tetra(f, g, n: int) -> complex:
     """Tetrahedral inner product: (1/4n^3) sum lambda_j f conj(g)."""
-    idx = lambda_nodes(n)
-    pts = _node_points(idx, n)
     w = lambda_weights(n).astype(float)
-    vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts))) * w
-    return complex(vals.sum() / (4 * n**3))
+    return complex(_node_sum(f, g, lambda_nodes(n), n, w) / (4 * n**3))
 
 
 def inner_tetra_interior(f, g, n: int) -> complex:
     """Interior tetrahedral inner product: (6/n^3) sum over strictly interior nodes."""
     idx = lambda_circ_nodes(n)
-    if len(idx) == 0:
-        return 0j
-    pts = _node_points(idx, n)
-    vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))
-    return complex(vals.sum() * 6.0 / n**3)
+    return complex(_node_sum(f, g, idx, n) * 6.0 / n**3) if len(idx) else 0j
 
 
 def cubature_dodeca(f, n: int) -> complex:
-    """Symmetric-node rule for the normalized dodecahedron integral.
-
-    Exact for trigonometric polynomials of degree up to 2n - 1.
-    """
+    """Symmetric-node rule for the normalized dodecahedron integral; exact
+    for trigonometric polynomials of degree up to 2n - 1."""
     return inner_n_star(f, one, n)
 
 
@@ -88,15 +87,10 @@ def cubature_tetra(f, n: int) -> complex:
 
 
 def cubature_tetra_regular(f3, n: int) -> complex:
-    """Same rule in regular-tetrahedron coordinates.
-
-    Nodes are (k1, k2, k3)/n with 0 <= k3 <= k2 <= k1 <= n; weights carry
-    over from the homogeneous rule through the index map.
-    """
-    idx = lambda_nodes(n)
-    xs = to_reduced(idx).astype(float) / n
-    w = lambda_weights(n).astype(float)
-    vals = np.asarray(f3(xs)) * w
+    """Same rule in regular-tetrahedron coordinates: nodes (k1, k2, k3)/n,
+    0 <= k3 <= k2 <= k1 <= n, with the weights of the homogeneous rule."""
+    xs = to_reduced(lambda_nodes(n)).astype(float) / n
+    vals = np.asarray(f3(xs)) * lambda_weights(n).astype(float)
     return complex(vals.sum() / (4 * n**3))
 
 
@@ -121,8 +115,7 @@ def continuous_inner(f, g, quad_order: int) -> complex:
     H-periodic trigonometric integrands of per-axis degree < quad_order.
     """
     pts = unit_cell_points(quad_order)
-    vals = np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))
-    return complex(vals.mean())
+    return complex((np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))).mean())
 
 
 @dataclass(frozen=True)
@@ -143,18 +136,22 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> FourierCoeffs:
     kk = generate_Hn_star(n)
     fv = np.asarray(f(unit_cell_points(q)), dtype=complex).reshape(q, q, q)
     coeffs = np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3
-    values = {
-        tuple(int(v) for v in k): complex(c) for k, c in zip(kk, coeffs)
-    }
-    return FourierCoeffs(degree=n, values=values)
+    return FourierCoeffs(n, {tuple(k): complex(c) for k, c in zip(kk.tolist(), coeffs)})
 
 
 def partial_sum(coeffs: FourierCoeffs, t) -> np.ndarray:
-    """Evaluate sum c_k phi_k(t) for a coefficient table."""
-    t = np.asarray(t, dtype=float)
-    kk = np.array(sorted(coeffs.values.keys()), dtype=float)
-    cc = np.array([coeffs.values[tuple(int(v) for v in k)] for k in kk])
-    return np.exp(0.5j * np.pi * (t @ kk.T)) @ cc
+    """Evaluate sum c_k phi_k(t) for a table keyed by indices in H at points
+    (..., 4), zero-sum or not: sum k = 0 on H, so t and t - mean(t) give the
+    same value.  ValueError for bad points as in ``Interpolant``."""
+    t = _check_points(t)
+    kk = np.array(list(coeffs.values), dtype=np.int64).reshape(-1, 4)
+    kp = to_reduced(kk)
+    if not np.array_equal(_from_reduced(kp), kk):
+        raise ValueError("coefficient keys must be frequency indices in H")
+    h = int(np.abs(kp).max(initial=0))
+    box = np.zeros((2 * h + 1,) * 3, dtype=complex)
+    box[tuple((kp + h).T)] = list(coeffs.values.values())
+    return _eval_box(box, t - t.mean(axis=-1, keepdims=True))
 
 
 def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
@@ -175,23 +172,20 @@ def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
     ))
 
 
-# complex elements in a chunk's cube and in any array its reduction forms
+# complex elements in any one array that a chunk of points forms
 _CHUNK_ELEMENTS = 2**20
 
 
 def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce, width: int = 0) -> list:
     """reduce(cube) for each chunk of pts, in order, with cube[p, m] =
     sum_k w_k phi_k(pts[p] - t_m) for each cell m of a size^3 cube and
-    t_m[:3] = m / size.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
-    k' = to_reduced(k) and y = t[:3]: the weights sit at k' mod size, times
-    the separable phases exp(2 pi i k'.y), and one in-place fftn per point
-    does the rest.  Each k' must lie in [-size/2, size/2)^3 (size >= 2n + 2
-    for H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // max(size^3, width))
-    points; width is the number of elements reduce forms per point.
-    """
-    strides = np.array([size * size, size, 1])
+    t_m[:3] = m / size: the weights sit at k' = to_reduced(k) mod size,
+    times the phases exp(2 pi i k'.pts[p, :3]), then one in-place fftn per
+    point.  Each k' must lie in [-size/2, size/2)^3 (size >= 2n + 2 for
+    H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // max(size^3, width))
+    points; width is the number of elements reduce forms per point."""
     coef = np.zeros((size, size, size), dtype=complex)
-    coef.flat[(to_reduced(kk) % size) @ strides] = weights
+    coef[tuple((to_reduced(kk) % size).T)] = weights
     freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
 
     def chunk(p: np.ndarray):
@@ -204,3 +198,20 @@ def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce, width: int = 0) -
 
     rows = max(1, _CHUNK_ELEMENTS // max(size**3, width))
     return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])
+
+
+def _eval_box(box: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k' box[k' + h] exp(2 pi i k'.t[:3]) over k' in [-h, h]^3 at zero-sum
+    points t (..., 4): three rows of 2h + 1 exps per point contract the box
+    one axis at a time, in chunks that cap every array at 2^20 elements."""
+    m = len(box)
+    y = t.reshape(-1, 4)[:, :3] % 1.0
+    freq = 2j * np.pi * np.arange(-(m // 2), m // 2 + 1)
+    rows = max(1, _CHUNK_ELEMENTS // (m * m))
+    out = np.empty(len(y), dtype=complex)
+    for i in range(0, len(y), rows):
+        e = np.exp(y[i : i + rows, :, None] * freq)  # (p, 3, m)
+        g = (e[:, 0] @ box.reshape(m, m * m)).reshape(-1, m, m)
+        g = np.einsum("pbc,pb->pc", g, e[:, 1])
+        out[i : i + rows] = np.einsum("pc,pc->p", g, e[:, 2])
+    return out.reshape(t.shape[:-1])

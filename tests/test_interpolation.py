@@ -197,18 +197,46 @@ def test_lebesgue_interp_matches_compact_abs_sum(kind, n, grid):
 
 
 @pytest.mark.parametrize(
-    "build, grid", [(interp_In, dodeca_grid(5)), (interp_Ln_star, tetra_grid(7))]
+    "build, n, grid",
+    [
+        (interp_In, 8, dodeca_grid(5)),
+        (interp_Ln_star, 8, tetra_grid(7)),
+        (interp_In, 16, dodeca_grid(20)),
+    ],
+    ids=["interp_In-grid0", "interp_Ln_star-grid1", "interp_In-16"],
 )
-def test_evaluation_memory_is_bounded(build, grid):
+def test_evaluation_memory_is_bounded(build, n, grid):
     # scratch is bounded per chunk, not proportional to nodes x frequencies
-    # (the n = 8 cases needed 132 MB and 125 MB that way)
+    # (the n = 8 cases needed 132 MB and 125 MB that way) or to the points
+    # (interp_In at n = 16 on dodeca_grid(20) needs about 150 MiB unchunked)
     tracemalloc.start()
     try:
-        build(smooth_probe, 8)(grid)
+        build(smooth_probe, n)(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 96 * 2**20
+
+
+def test_evaluation_uses_the_coefficient_box(monkeypatch):
+    # no kind falls back to the per-point FFT cube or the chunk pool
+    import fcctrig._parallel
+    import fcctrig.interpolation
+    import fcctrig.transforms
+
+    def boom(*args, **kwargs):
+        raise AssertionError("per-point route used")
+
+    for mod, name in [
+        (fcctrig.interpolation, "_map_cube"),
+        (fcctrig.transforms, "_map_cube"),
+        (fcctrig.transforms, "map_chunks"),
+        (fcctrig._parallel, "map_chunks"),
+    ]:
+        monkeypatch.setattr(mod, name, boom)
+    t = dodeca_grid(4)
+    for build in (interp_In, interp_In_star, interp_Ln, interp_Ln_star):
+        assert np.all(np.isfinite(build(smooth_probe, 4)(t)))
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -11,6 +11,7 @@ from fcctrig.indexsets import (
     to_reduced,
     weight_lambda,
 )
+from fcctrig.interpolation import dodeca_grid
 from fcctrig.kernels import dirichlet, dirichlet_direct
 from fcctrig.lattice import phi
 from fcctrig.transforms import (
@@ -18,6 +19,7 @@ from fcctrig.transforms import (
     cubature_dodeca,
     cubature_tetra,
     cubature_tetra_regular,
+    FourierCoeffs,
     fourier_coeffs,
     inner_n,
     inner_n_star,
@@ -267,6 +269,42 @@ def test_fourier_coeffs_recover_polynomial(n):
         assert abs(aliased.values[k] - want) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_partial_sum_matches_dense_exponential_sum(n):
+    # off-hyperplane points are evaluated through their projection, which
+    # leaves every phi_k unchanged because sum k = 0 on H
+    rng = np.random.default_rng(60 + n)
+    kk = generate_Hn_star(n)
+    c = rng.standard_normal(len(kk)) + 1j * rng.standard_normal(len(kk))
+    coeffs = FourierCoeffs(n, {tuple(k): ck for k, ck in zip(kk.tolist(), c)})
+    t = rng.uniform(-2.0, 2.0, size=(3, 7, 4))
+    want = np.exp(0.5j * np.pi * (t @ kk.T)) @ c
+    got = partial_sum(coeffs, t)
+    assert got.shape == (3, 7)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(c).sum()
+
+
+def test_partial_sum_rejects_wrong_last_axis():
+    c = fourier_coeffs(one, 1)
+    with pytest.raises(ValueError, match="4 coordinates"):
+        partial_sum(c, np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_partial_sum_rejects_non_finite(bad):
+    c = fourier_coeffs(one, 1)
+    t = np.zeros((3, 4))
+    t[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        partial_sum(c, t)
+
+
+def test_partial_sum_rejects_keys_outside_H():
+    c = FourierCoeffs(1, {(1, 0, 0, -1): 1.0})
+    with pytest.raises(ValueError, match="frequency indices"):
+        partial_sum(c, np.zeros(4))
+
+
 def test_partial_sum_projection_idempotent():
     # S_n of a degree-n polynomial is the polynomial itself
     rng = np.random.default_rng(36)
@@ -311,13 +349,17 @@ def test_lebesgue_Sn_rejects_degree_below_one(n):
     [
         lambda: lebesgue_Sn(2, grid_per_axis=3, quad_order=64),
         lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 5),
+        lambda: partial_sum(
+            fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 8),
+            dodeca_grid(20),
+        ),
     ],
-    ids=["lebesgue_Sn", "fourier_coeffs"],
+    ids=["lebesgue_Sn", "fourier_coeffs", "partial_sum"],
 )
 def test_grid_sums_memory_is_bounded(call, monkeypatch):
     # scratch is bounded per chunk and worker, not proportional to points x
-    # quadrature points or points x frequencies (about 1,080 MiB and 284 MiB
-    # that way); one worker keeps the peak independent of the CPU count
+    # quadrature points or points x frequencies (about 1,080, 284 and
+    # 602 MiB that way); one worker keeps the peak independent of the CPU count
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
     tracemalloc.start()
     try:
