@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import indexsets, interpolation, kernels, lattice, transforms, trigbasis
+from . import claims, indexsets, interpolation, kernels, lattice, transforms, trigbasis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,6 +74,16 @@ def _builtin(name: str, k):
     if name == "ts":
         return lambda t: trigbasis.ts(np.sort(k)[::-1], t)
     raise _UsageError(f"unknown builtin function {name!r}")
+
+
+def _value_rows(grid, vals):
+    """CSV rows and JSON records of complex values at grid points."""
+    vals = np.asarray(vals, dtype=complex)
+    rows = [[_fnum(a) for a in t] + [_fnum(v.real), _fnum(v.imag)]
+            for t, v in zip(grid, vals)]
+    recs = [{"point": [float(a) for a in t], "re": float(v.real), "im": float(v.imag)}
+            for t, v in zip(grid, vals)]
+    return rows, recs
 
 
 def _emit(args, header, rows, json_obj) -> None:
@@ -152,37 +162,15 @@ def cmd_nodes(args) -> int:
 def cmd_kernel(args) -> int:
     n, name = args.n, args.f
     if name == "phi":
-        k = _parse_k(args.k) if args.k else None
-        if k is None:
-            raise _UsageError("--f phi needs --k a,b,c,d")
-        fn = lambda t: lattice.phi(k, t)
-    elif name == "theta":
-        fn = lambda t: kernels.theta_n(n, t)
-    elif name == "dirichlet":
-        fn = lambda t: kernels.dirichlet(n, t)
-    elif name == "phin":
-        fn = lambda t: kernels.phi_n_fund(n, t)
-    elif name == "phistar":
-        fn = lambda t: kernels.phi_n_star(n, t)
+        fn = _builtin("phi", _parse_k(args.k) if args.k else None)
     else:
-        raise _UsageError(f"unknown kernel {name!r}")
+        kernel = {"theta": kernels.theta_n, "dirichlet": kernels.dirichlet,
+                  "phin": kernels.phi_n_fund, "phistar": kernels.phi_n_star}[name]
+        fn = lambda t: kernel(n, t)
     grid = interpolation.dodeca_grid(args.grid)
-    vals = np.asarray(fn(grid), dtype=complex)
-    header = ["t1", "t2", "t3", "t4", "re", "im"]
-    rows = [
-        [_fnum(a) for a in t] + [_fnum(v.real), _fnum(v.imag)]
-        for t, v in zip(grid, vals)
-    ]
-    obj = {
-        "kernel": name,
-        "n": n,
-        "grid": args.grid,
-        "values": [
-            {"point": [float(a) for a in t], "re": float(v.real), "im": float(v.imag)}
-            for t, v in zip(grid, vals)
-        ],
-    }
-    _emit(args, header, rows, obj)
+    rows, values = _value_rows(grid, fn(grid))
+    obj = {"kernel": name, "n": n, "grid": args.grid, "values": values}
+    _emit(args, ["t1", "t2", "t3", "t4", "re", "im"], rows, obj)
     return EXIT_OK
 
 
@@ -230,26 +218,13 @@ def cmd_interpolate(args) -> int:
     elif args.f:
         k = _parse_k(args.k) if args.k else None
         f = _builtin(args.f, k)
-        builder = {
-            "in": interpolation.interp_In,
-            "instar": interpolation.interp_In_star,
-            "ln": interpolation.interp_Ln,
-            "lnstar": interpolation.interp_Ln_star,
-        }[kind]
-        interp = builder(f, n)
+        interp = interpolation.BUILDERS[kind](f, n)
     else:
         raise _UsageError("interpolate needs either --f or --samples")
     grid = interpolation._KINDS[kind].grid(args.grid)
     approx = np.asarray(interp(grid), dtype=complex)
     header = ["t1", "t2", "t3", "t4", "approx_re", "approx_im"]
-    rows = [
-        [_fnum(a) for a in t] + [_fnum(v.real), _fnum(v.imag)]
-        for t, v in zip(grid, approx)
-    ]
-    obj_rows = [
-        {"point": [float(a) for a in t], "re": float(v.real), "im": float(v.imag)}
-        for t, v in zip(grid, approx)
-    ]
+    rows, obj_rows = _value_rows(grid, approx)
     obj = {"kind": kind, "n": n, "grid": args.grid, "values": obj_rows}
     if f is not None:
         exact = np.asarray(f(grid), dtype=complex)
@@ -270,13 +245,13 @@ def cmd_interpolate(args) -> int:
 def cmd_lebesgue(args) -> int:
     kind, n = args.kind, args.n
     if kind == "sn":
-        grid = args.grid if args.grid else 17
-        quad = args.quad if args.quad else 64
+        grid = 17 if args.grid is None else args.grid
+        quad = 64 if args.quad is None else args.quad
         est = transforms.lebesgue_Sn(n, grid_per_axis=grid, quad_order=quad)
         qcol = str(quad)
         qval = quad
     else:
-        grid = args.grid if args.grid else 25
+        grid = 25 if args.grid is None else args.grid
         est = interpolation.lebesgue_interp(n, kind, grid_per_axis=grid)
         qcol = ""
         qval = None
@@ -299,106 +274,37 @@ def cmd_lebesgue(args) -> int:
 # verify
 
 
-def _verify_checks(n: int, rng: np.random.Generator):
-    """Yield (name, ok, detail) for the invariant suite at degree n."""
-    # cardinalities and weights
-    for m in range(1, max(n, 4) + 1):
-        ok = (
-            len(indexsets.generate_Hn(m)) == 4 * m**3
-            and len(indexsets.generate_Hn_star(m)) == (m + 1) ** 4 - m**4
-            and len(indexsets.generate_Hn_circ(m)) == m**4 - (m - 1) ** 4
-        )
-        yield f"cardinalities degree {m}", ok, ""
-        sizes, counts = np.unique(
-            indexsets.class_sizes(indexsets.generate_Hn_star(m), m), return_counts=True
-        )
-        wsum = sum(Fraction(c, s) for s, c in zip(sizes.tolist(), counts.tolist()))
-        lsum = int(indexsets.lambda_weights(m).sum())
-        ok = wsum == 4 * m**3 and lsum == 4 * m**3
-        yield f"weight sums degree {m}", ok, f"{wsum} vs {4 * m ** 3}"
-
-    # discrete orthonormality on the half-open set
-    idx = indexsets.generate_Hn(n)
-    pts = idx.astype(float) / (4.0 * n)
-    e = np.exp(0.5j * np.pi * (pts @ idx.astype(float).T))
-    gram = np.conj(e).T @ e / (4 * n**3)
-    err = float(np.abs(gram - np.eye(len(idx))).max())
-    yield f"orthonormality degree {n}", err < 1e-10, f"max err {err:.2e}"
-
-    # cubature integrates the star frequencies of degree 2n-1 to delta
-    big = indexsets.generate_Hn_star(2 * n - 1)
-    star = indexsets.generate_Hn_star(n)
-    e = np.exp(0.5j * np.pi * (star.astype(float) / (4.0 * n)) @ big.astype(float).T)
-    vals = (1.0 / indexsets.class_sizes(star, n)) @ e / (4 * n**3)
-    err = float(np.abs(vals - np.all(big == 0, axis=1)).max())
-    yield f"cubature exactness degree {n}", err < 1e-10, f"max err {err:.2e}"
-
-    # compact forms against their summation oracles
-    t = rng.uniform(-1.0, 1.0, size=(50, 4))
-    t -= t.mean(axis=1, keepdims=True)
-    pairs = [
-        ("dirichlet", kernels.dirichlet, kernels.dirichlet_direct),
-        ("dirichlet product", kernels.dirichlet_product, kernels.dirichlet_direct),
-        ("edge stratum sum", kernels.edge_sum, kernels.edge_sum_direct),
-        ("symmetric kernel", kernels.phi_n_star, kernels.phi_n_star_direct),
-    ]
-    for name, fast, ref in pairs:
-        err = float(np.abs(fast(n, t) - ref(n, t)).max())
-        yield f"{name} compact vs direct", err < 1e-9, f"max err {err:.2e}"
-    errs_tc, errs_ts = [], []
-    for _ in range(50):
-        kp = np.sort(rng.integers(0, n + 1, size=3))[::-1]
-        k = np.array(
-            [4 * v - kp.sum() for v in kp] + [-kp.sum()], dtype=np.int64
-        )
-        tt = rng.uniform(-1.0, 1.0, size=4)
-        tt -= tt.mean()
-        errs_tc.append(abs(trigbasis.tc(k, tt) - trigbasis.tc_direct(k, tt)))
-        if len(set(k.tolist())) == 4:
-            errs_ts.append(abs(trigbasis.ts(k, tt) - trigbasis.ts_direct(k, tt)))
-    yield "cosine compact vs orbit sum", max(errs_tc) < 1e-9, f"max err {max(errs_tc):.2e}"
-    if errs_ts:
-        yield "sine compact vs orbit sum", max(errs_ts) < 1e-9, f"max err {max(errs_ts):.2e}"
-
-    # interpolation conditions
-    def probe(t):
-        return np.exp(np.sin(2.0 * np.pi * np.asarray(t)[..., 0]))
-
-    for kind, builder in (
-        ("in", interpolation.interp_In),
-        ("instar", interpolation.interp_In_star),
-        ("lnstar", interpolation.interp_Ln_star),
-    ):
-        interp = builder(probe, n)
-        nodes = interpolation.node_set(kind, n)
-        pts = nodes.astype(float) / (4.0 * n)
-        got = interp(pts)
-        if kind == "instar":
-            # a node's congruence class is the set of nodes sharing j[:3] mod 4n
-            _, cls = np.unique(nodes[:, :3] % (4 * n), axis=0, return_inverse=True)
-            want = np.bincount(cls, weights=probe(pts))[cls]
-        else:
-            want = probe(pts)
-        err = float(np.abs(got - want).max())
-        yield f"interpolation condition {kind}", err < 1e-9, f"max err {err:.2e}"
-    m = max(n, 4)
-    interp = interpolation.interp_Ln(probe, m)
-    nodes = interpolation.node_set("ln", m)
-    pts = nodes.astype(float) / (4.0 * m)
-    err = float(np.abs(interp(pts) - probe(pts)).max())
-    yield f"interpolation condition ln (degree {m})", err < 1e-9, f"max err {err:.2e}"
-
-
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(20240901)
+    """One PASS/FAIL line per claim at degree --n.  An exact claim (tolerance
+    None) passes when it measures 0, the others below their tolerance."""
+    n, m = args.n, max(args.n, 4)
+    if n < 1:
+        raise _UsageError("degree must be >= 1")
+    t = np.random.default_rng(20240901).uniform(-1.0, 1.0, size=(50, 4))
+    t -= t.mean(axis=1, keepdims=True)
+    expsin = _builtin("expsin", None)
+    checks = []
+    for d in range(1, m + 1):
+        checks.append((f"cardinalities degree {d}", claims.cardinalities(d), None))
+        checks.append((f"weight sums degree {d}", claims.weight_sums(d), None))
+    cubature = max(claims.dodeca_cubature(n), claims.tetra_cubature(n))
+    checks.append((f"orthonormality degree {n}", claims.orthonormality(n), 1e-10))
+    checks.append((f"cubature exactness degree {n}", cubature, 1e-10))
+    for name, err in claims.compact_kernels(n, t).items():
+        checks.append((f"{name} compact vs direct", err, 1e-9))
+    for name, err in claims.tetra_basis(n, t).items():
+        checks.append((f"{name} compact vs orbit sum", err, 1e-9))
+    for kind in ("in", "instar", "lnstar"):
+        err = claims.interpolation_condition(kind, n, expsin)
+        checks.append((f"interpolation condition {kind}", err, 1e-9))
+    err = claims.interpolation_condition("ln", m, expsin)
+    checks.append((f"interpolation condition ln (degree {m})", err, 1e-9))
     failures = 0
-    for name, ok, detail in _verify_checks(args.n, rng):
-        tag = "PASS" if ok else "FAIL"
-        line = f"{tag} {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        print(line)
-        failures += 0 if ok else 1
+    for name, got, tol in checks:
+        ok = got == 0 if tol is None else got < tol
+        detail = f"off by {got}" if tol is None else f"max err {got:.2e}"
+        print(f"PASS {name}" if ok else f"FAIL {name} ({detail})")
+        failures += not ok
     if failures:
         print(f"{failures} check(s) failed")
         return EXIT_VERIFY
@@ -452,7 +358,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("lebesgue", help="estimate a Lebesgue constant")
     sp.add_argument("--kind", choices=interpolation.KINDS + ("sn",), default="instar")
     sp.add_argument("--quad", type=int, default=None, help="quadrature per axis (sn only)")
-    common(sp, grid_default=0)
+    sp.add_argument("--grid", type=int, default=None, help="grid points per axis")
+    common(sp)
     sp.set_defaults(fn=cmd_lebesgue)
 
     sp = sub.add_parser("verify", help="run the invariant suite")

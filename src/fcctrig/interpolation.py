@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,8 @@ def tetra_grid(grid_per_axis: int) -> np.ndarray:
 
 def dodeca_grid(grid_per_axis: int) -> np.ndarray:
     """Unit-cell sampling folded into the fundamental dodecahedron."""
+    if grid_per_axis < 2:
+        raise ValueError(f"grid must have at least 2 points per axis, got {grid_per_axis}")
     return fold_to_omega_H(unit_cell_points(grid_per_axis))
 
 
@@ -184,7 +187,10 @@ KINDS = tuple(_KINDS)
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Node values of one operator; calling it evaluates the kernel sum."""
+    """Node values of one operator; calling it evaluates the kernel sum.
+
+    The first call builds the coefficient box and keeps it, so ``values``
+    must not be mutated after construction."""
 
     kind: str
     n: int
@@ -199,8 +205,9 @@ class Interpolant:
         scale = np.maximum(1.0, np.abs(t).max(axis=-1))
         if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * scale):
             raise ValueError("points must lie on the zero-sum hyperplane")
-        return _eval_box(self._box(), t)
+        return _eval_box(self._box, t)
 
+    @cached_property
     def _box(self) -> np.ndarray:
         """The (2n+1)^3 coefficient box (module docstring)."""
         spec, n, size = _KINDS[self.kind], self.n, 4 * self.n
@@ -246,6 +253,9 @@ def interp_Ln(f, n: int) -> Interpolant:
 def interp_Ln_star(f, n: int) -> Interpolant:
     """Cosine interpolation at all tetrahedral nodes."""
     return _build("lnstar", n, f)
+
+
+BUILDERS = {"in": interp_In, "instar": interp_In_star, "ln": interp_Ln, "lnstar": interp_Ln_star}
 
 
 def from_node_values(kind: str, n: int, values: dict) -> Interpolant:

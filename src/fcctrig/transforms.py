@@ -163,6 +163,8 @@ def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
     r = ceil((2n + 2) / q): D_n(t - s) at every s is every r-th cell of
     one ``_map_cube`` cube.
     """
+    if grid_per_axis < 2:
+        raise ValueError(f"grid must have at least 2 points per axis, got {grid_per_axis}")
     if quad_order < 2:
         raise ValueError("quadrature order must be at least 2")
     r = -(-(2 * n + 2) // quad_order)

@@ -1,60 +1,27 @@
 """Acceptance suite: nine numbered criteria, one test and one printed
 pass/fail line each.  Every criterion is expected to pass; a failing one's
-assertion message carries the measured table."""
+assertion message carries the measured table.  Criteria 1-6 measure the
+claims of ``fcctrig.claims``, which ``fcc-trig verify`` prints too, at the
+degrees, probes and tolerances written here."""
 
 import math
-from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
-import pytest
 
-from fcctrig.boundary import congruent_orbit_index
-from fcctrig.indexsets import (
-    generate_Hn,
-    generate_Hn_circ,
-    generate_Hn_star,
-    lambda_circ_nodes,
-    lambda_nodes,
-    stratum_counts,
-    weight_c,
-    weight_lambda,
-)
+from fcctrig import claims
+from fcctrig.indexsets import generate_Hn, lambda_circ_nodes, lambda_nodes
 from fcctrig.interpolation import (
     ell_circ,
     ell_circ_ts_sum,
     ell_tri,
     ell_tri_tc_sum,
-    interp_In,
-    interp_In_star,
-    interp_Ln,
     interp_Ln_star,
     lebesgue_interp,
-    node_set,
     tetra_grid,
 )
-from fcctrig.kernels import (
-    dirichlet,
-    dirichlet_direct,
-    dirichlet_product,
-    phi_n_star,
-    phi_n_star_direct,
-)
 from fcctrig.lattice import phi
-from fcctrig.transforms import (
-    continuous_inner,
-    cubature_dodeca,
-    cubature_tetra,
-    inner_n,
-    inner_n_star,
-)
-from fcctrig.trigbasis import (
-    tc,
-    tc_direct,
-    tc_orthogonality_value,
-    ts,
-    ts_direct,
-)
+from fcctrig.transforms import continuous_inner
+from fcctrig.trigbasis import tc, tc_orthogonality_value
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -75,51 +42,17 @@ def singular_probes(rng, m):
 
 
 def test_criterion_1_cardinalities():
-    ok = True
-    for n in range(1, 7):
-        ok &= len(generate_Hn(n)) == 4 * n**3
-        ok &= len(generate_Hn_star(n)) == (n + 1) ** 4 - n**4
-        ok &= len(generate_Hn_circ(n)) == n**4 - (n - 1) ** 4
-        counts = stratum_counts(n)
-        for (i, j) in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)]:
-            want = (
-                factorial(4)
-                // (factorial(i) * factorial(j) * factorial(4 - i - j))
-                * (n - 1) ** (4 - i - j)
-            )
-            ok &= counts.get((i, j), 0) == want
+    ok = all(claims.cardinalities(n) == 0 for n in range(1, 7))
     report(1, "cardinalities and stratum counts", ok, "n = 1..6, exact")
 
 
 def test_criterion_2_weight_identities():
-    ok = True
-    for n in range(1, 7):
-        csum = sum(weight_c(k, n) for k in generate_Hn_star(n))
-        lsum = sum(weight_lambda(k, n) for k in lambda_nodes(n))
-        ok &= csum == Fraction(4 * n**3) and lsum == 4 * n**3
+    ok = all(claims.weight_sums(n) == 0 for n in range(1, 7))
     report(2, "weight sums equal 4n^3", ok, "n = 1..6, rational arithmetic")
 
 
 def test_criterion_3_discrete_orthonormality():
-    worst = 0.0
-    for n in (2, 4):
-        idx = generate_Hn(n)
-        pts = idx.astype(float) / (4.0 * n)
-        e = np.exp(0.5j * np.pi * (pts @ idx.astype(float).T))
-        gram_plain = np.conj(e).T @ e / (4 * n**3)
-
-        star = generate_Hn_star(n)
-        spts = star.astype(float) / (4.0 * n)
-        w = np.array([float(weight_c(k, n)) for k in star])
-        es = np.exp(0.5j * np.pi * (spts @ idx.astype(float).T))
-        gram_star = np.conj(es * w[:, None]).T @ es / (4 * n**3)
-
-        eye = np.eye(len(idx))
-        worst = max(
-            worst,
-            float(np.abs(gram_plain - eye).max()),
-            float(np.abs(gram_star - eye).max()),
-        )
+    worst = max(claims.orthonormality(n) for n in (2, 4))
     ok = worst < 1e-10
     report(
         3,
@@ -130,22 +63,9 @@ def test_criterion_3_discrete_orthonormality():
 
 
 def test_criterion_4_cubature_exactness():
-    worst = 0.0
-    for n in (2, 4):
-        big = generate_Hn_star(2 * n - 1)
-        star = generate_Hn_star(n)
-        pts = star.astype(float) / (4.0 * n)
-        w = np.array([float(weight_c(k, n)) for k in star])
-        e = np.exp(0.5j * np.pi * (pts @ big.astype(float).T))
-        vals = (w[:, None] * e).sum(axis=0) / (4 * n**3)
-        want = np.array([1.0 if not np.any(m) else 0.0 for m in big])
-        worst = max(worst, float(np.abs(vals - want).max()))
-    n = 2
-    for m in lambda_nodes(2 * n - 1):
-        mt = tuple(int(v) for v in m)
-        got = cubature_tetra(lambda t: tc(mt, t), n)
-        want = 1.0 if mt == (0, 0, 0, 0) else 0.0
-        worst = max(worst, abs(got - want))
+    worst = max(
+        claims.dodeca_cubature(2), claims.dodeca_cubature(4), claims.tetra_cubature(2)
+    )
     ok = worst < 1e-10
     report(
         4,
@@ -160,27 +80,13 @@ def test_criterion_5_compact_formula_equivalences():
     worst = 0.0
     for n in range(1, 6):
         t = np.vstack([rand_t(rng, 100), singular_probes(rng, 30)])
-        direct = dirichlet_direct(n, t)
-        worst = max(worst, float(np.abs(dirichlet(n, t) - direct).max()))
-        worst = max(worst, float(np.abs(dirichlet_product(n, t) - direct).max()))
-        worst = max(
-            worst,
-            float(np.abs(phi_n_star(n, t) - phi_n_star_direct(n, t)).max()),
-        )
+        errs = [*claims.compact_kernels(n, t).values(), *claims.tetra_basis(n, t).values()]
+        # the fundamental functions against their TC/TS sums: checked here only
         for k in lambda_nodes(n):
-            kt = tuple(int(v) for v in k)
-            worst = max(worst, float(np.abs(tc(kt, t) - tc_direct(kt, t)).max()))
-            worst = max(
-                worst,
-                float(np.abs(ell_tri(kt, n, t) - ell_tri_tc_sum(kt, n, t)).max()),
-            )
+            errs.append(float(np.abs(ell_tri(k, n, t) - ell_tri_tc_sum(k, n, t)).max()))
         for k in lambda_circ_nodes(n):
-            kt = tuple(int(v) for v in k)
-            worst = max(worst, float(np.abs(ts(kt, t) - ts_direct(kt, t)).max()))
-            worst = max(
-                worst,
-                float(np.abs(ell_circ(kt, n, t) - ell_circ_ts_sum(kt, n, t)).max()),
-            )
+            errs.append(float(np.abs(ell_circ(k, n, t) - ell_circ_ts_sum(k, n, t)).max()))
+        worst = max(worst, *errs)
     ok = worst < 1e-9
     report(
         5,
@@ -197,42 +103,15 @@ def test_criterion_6_interpolation_conditions():
             2.0 * np.pi * (t[..., 1] - t[..., 2])
         )
 
-    worst = 0.0
-    for n in (2, 3):
-        I = interp_In(probe, n)
-        nodes = node_set("in", n)
-        pts = nodes.astype(float) / (4.0 * n)
-        worst = max(worst, float(np.abs(I(pts) - probe(pts)).max()))
-
-        Istar = interp_In_star(probe, n)
-        snodes = node_set("instar", n)
-        spts = snodes.astype(float) / (4.0 * n)
-        want = np.array(
-            [
-                sum(
-                    probe(np.array(s, dtype=float) / (4.0 * n))
-                    for s in congruent_orbit_index(k, n)
-                )
-                for k in snodes
-            ]
-        )
-        worst = max(worst, float(np.abs(Istar(spts) - want).max()))
-
-        C = interp_Ln_star(probe, n)
-        lnodes = node_set("lnstar", n)
-        lpts = lnodes.astype(float) / (4.0 * n)
-        worst = max(worst, float(np.abs(C(lpts) - probe(lpts)).max()))
-
+    errs = [
+        claims.interpolation_condition(kind, n, probe)
+        for kind in ("in", "instar", "lnstar")
+        for n in (2, 3)
+    ]
     # the sine operator has no nodes below degree 4; its interpolation
     # condition is vacuous at n = 2, 3 and is checked with content at 4, 5
-    for n in (2, 3, 4, 5):
-        S = interp_Ln(probe, n)
-        cnodes = node_set("ln", n)
-        if len(cnodes) == 0:
-            continue
-        cpts = cnodes.astype(float) / (4.0 * n)
-        worst = max(worst, float(np.abs(S(cpts) - probe(cpts)).max()))
-
+    errs += [claims.interpolation_condition("ln", n, probe) for n in (2, 3, 4, 5)]
+    worst = max(errs)
     ok = worst < 1e-9
     report(
         6,

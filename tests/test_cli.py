@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fcctrig import cli
+from fcctrig import claims, cli
 from fcctrig.indexsets import generate_Hn_star, lambda_nodes
 from fcctrig.interpolation import dodeca_grid, from_node_values, node_set
 from fcctrig.kernels import dirichlet
@@ -261,6 +261,61 @@ def test_verify_passes(capsys):
     assert any("interpolation condition" in l for l in lines)
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_rejects_degree_below_one(capsys, n):
+    code, out, err = run(capsys, "verify", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "degree must be >= 1" in err
+
+
+def test_verify_reports_a_failing_claim(capsys, monkeypatch):
+    # a kernel off by a relative 1e-7 must fail its 1e-9 check, and only it
+    exact = claims.kernels.phi_n_star
+    monkeypatch.setattr(claims.kernels, "phi_n_star", lambda n, t: exact(n, t) * (1 + 1e-7))
+    code, out, _ = run(capsys, "verify", "--n", "2")
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert code == 2
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL symmetric kernel compact vs direct (max err ")
+    assert out.splitlines()[-1] == "1 check(s) failed"
+    t = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 4))
+    t -= t.mean(axis=1, keepdims=True)
+    assert claims.compact_kernels(2, t)["symmetric kernel"] >= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--grid", "0"),
+        ("lebesgue", "--kind", "instar", "--grid", "-3"),
+        ("lebesgue", "--kind", "sn", "--grid", "1"),
+    ],
+    ids=" ".join,
+)
+def test_bad_grid_is_named_in_the_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "grid must have at least 2 points per axis" in err
+
+
+@pytest.mark.parametrize("kind", ["instar", "lnstar", "sn"])
+def test_lebesgue_grid_zero_is_rejected(capsys, kind):
+    # 0 is a grid size, not "use the default"
+    code, out, err = run(capsys, "lebesgue", "--kind", kind, "--n", "2", "--grid", "0")
+    assert code == 1
+    assert out == ""
+    assert "grid must have at least" in err
+
+
+def test_lebesgue_quad_zero_is_rejected(capsys):
+    code, out, err = run(capsys, "lebesgue", "--kind", "sn", "--n", "2", "--quad", "0")
+    assert code == 1
+    assert out == ""
+    assert "quadrature order must be at least 2" in err
+
+
 def test_bad_subcommand_usage(capsys):
     code, _, _ = run(capsys, "nosuch")
     assert code == 1
@@ -285,8 +340,12 @@ OUTPUT_SHA256 = {
         "bb9a83c91470f8704a88ea7d361507d26ee23539a2506bb731c0909bb19f6904",
     ("nodes", "--set", "lambda", "--n", "3", "--format", "json"):
         "b91b55a16bc7eaeff978a2280852589d0c94facb51851ad11da57b243e4d84ba",
+    ("verify", "--n", "1"):
+        "5c233f180a482241d0e1dfcc7bd45ac2821b8188c9b6aeffc1de67873a7706db",
     ("verify", "--n", "2"):
         "eaed9ac75057f8c777d865864ed443260db7afa4349992541a6be73ca3390c4c",
+    ("verify", "--n", "3"):
+        "447c98033b045676a4a94cd0eeb23b076ccafce97295aace694b3f61376e7890",
 }
 
 

@@ -239,6 +239,18 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
         assert np.all(np.isfinite(build(smooth_probe, 4)(t)))
 
 
+def test_coefficient_box_is_built_once(monkeypatch):
+    # the box is one fftn of the node values; later calls reuse it
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or fftn(*a, **k))
+    I = interp_Ln_star(smooth_probe, 4)
+    t = tetra_grid(3)
+    first, second = I(t), I(t[:5])
+    assert len(calls) == 1
+    assert np.array_equal(first[:5], second)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_interp_In_star_node_behavior(n):
     # interior nodes interpolate; boundary nodes carry the plain sum of the
