@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -76,26 +75,45 @@ def _builtin(name: str, k):
     raise _UsageError(f"unknown builtin function {name!r}")
 
 
-def _value_rows(grid, vals):
-    """CSV rows and JSON records of complex values at grid points."""
-    vals = np.asarray(vals, dtype=complex)
-    rows = [[_fnum(a) for a in t] + [_fnum(v.real), _fnum(v.imag)]
-            for t, v in zip(grid, vals)]
-    recs = [{"point": [float(a) for a in t], "re": float(v.real), "im": float(v.imag)}
-            for t, v in zip(grid, vals)]
-    return rows, recs
+def _cells(col) -> list:
+    """CSV cells of an array of rows, one list of strings per column."""
+    cols = col.reshape(len(col), -1).T
+    if cols.dtype.kind == "U":
+        return cols.tolist()
+    # repr each distinct number once, keyed on its bits so that -0.0 is not
+    # printed as 0.0
+    bits, inv = np.unique(cols.view(f"u{cols.itemsize}"), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(cols.dtype).tolist()])
+    return text[inv.reshape(cols.shape)].tolist()
 
 
-def _emit(args, header, rows, json_obj) -> None:
-    """Write CSV rows or a JSON object to --out or stdout."""
+def _csv(header, rows) -> str:
+    # cells are numbers and fixed labels, none needs CSV quoting
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _table(args, obj, key, fields) -> str:
+    """A table in --format only: CSV, or canonical JSON of obj with the
+    records under obj[key].
+
+    A field is (record key, or None for a CSV-only column; CSV column
+    names; array with one row per record).  A 2-D array fills one CSV
+    column per name and one list per record.
+    """
     if args.format == "json":
-        text = json.dumps(json_obj, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-        text = buf.getvalue()
+        keys = [k for k, _, _ in fields if k]
+        cols = [col.tolist() for k, _, col in fields if k]
+        return _json({**obj, key: [dict(zip(keys, rec)) for rec in zip(*cols)]})
+    header = [name for _, names, _ in fields for name in names]
+    return _csv(header, zip(*(c for _, _, col in fields for c in _cells(col))))
+
+
+def _emit(args, text: str) -> None:
+    """Write text to --out or stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -103,17 +121,23 @@ def _emit(args, header, rows, json_obj) -> None:
         sys.stdout.write(text)
 
 
+def _values(grid, vals, prefix=""):
+    """Fields of complex values at grid points; CSV names prefix + re, im."""
+    vals = np.asarray(vals, dtype=complex)
+    return [("point", ["t1", "t2", "t3", "t4"], grid),
+            ("re", [prefix + "re"], vals.real), ("im", [prefix + "im"], vals.imag)]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _node_table(args):
+def cmd_nodes(args) -> int:
     n = args.n
     if args.set == "lambda":
         idx = indexsets.lambda_nodes(n)
-        lam = indexsets.lambdas(idx, n).tolist()
-        strata = [indexsets.TETRA_STRATA[w] for w in lam]
-        weights = [str(w) for w in lam]
+        keys = indexsets.lambdas(idx, n)[:, None]
+        label = lambda w: (indexsets.TETRA_STRATA[w], str(w), repr(float(w)))
     else:
         gen = {
             "hn": indexsets.generate_Hn,
@@ -121,41 +145,22 @@ def _node_table(args):
             "hcirc": indexsets.generate_Hn_circ,
         }[args.set]
         idx = gen(n)
-        labels = indexsets.strata(idx, n).tolist()
-        strata = ["interior" if a + b == 0 else f"{a}{b}" for a, b in labels]
-        weights = [str(Fraction(1, b)) for b in indexsets.class_sizes(idx, n).tolist()]
+        keys = np.column_stack([indexsets.strata(idx, n), indexsets.class_sizes(idx, n)])
+        label = lambda a, b, size: ("interior" if a + b == 0 else f"{a}{b}",
+                                    str(Fraction(1, size)), repr(1 / size))
+    # stratum and weight depend on the class key only: format each class once
+    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+    stratum, weight, weight_float = (np.array(col)[inv.ravel()]
+                                     for col in zip(*(label(*u) for u in uniq.tolist())))
     pts = idx.astype(float) / (4.0 * n)
-    xs = lattice.from_homogeneous(pts)
-    header = [
-        "j1", "j2", "j3", "j4",
-        "t1", "t2", "t3", "t4",
-        "x1", "x2", "x3",
-        "stratum", "weight", "weight_float",
-    ]
-    rows, jrows = [], []
-    for k, t, x, s, w in zip(idx, pts, xs, strata, weights):
-        row = (
-            [str(int(v)) for v in k]
-            + [_fnum(v) for v in t]
-            + [_fnum(v) for v in x]
-            + [s, w, _fnum(float(Fraction(w)))]
-        )
-        rows.append(row)
-        jrows.append(
-            {
-                "index": [int(v) for v in k],
-                "point": [float(v) for v in t],
-                "cartesian": [float(v) for v in x],
-                "stratum": s,
-                "weight": w,
-            }
-        )
-    return header, rows, {"set": args.set, "n": n, "nodes": jrows}
-
-
-def cmd_nodes(args) -> int:
-    header, rows, obj = _node_table(args)
-    _emit(args, header, rows, obj)
+    _emit(args, _table(args, {"set": args.set, "n": n}, "nodes", [
+        ("index", ["j1", "j2", "j3", "j4"], idx),
+        ("point", ["t1", "t2", "t3", "t4"], pts),
+        ("cartesian", ["x1", "x2", "x3"], lattice.from_homogeneous(pts)),
+        ("stratum", ["stratum"], stratum),
+        ("weight", ["weight"], weight),
+        (None, ["weight_float"], weight_float),
+    ]))
     return EXIT_OK
 
 
@@ -168,9 +173,8 @@ def cmd_kernel(args) -> int:
                   "phin": kernels.phi_n_fund, "phistar": kernels.phi_n_star}[name]
         fn = lambda t: kernel(n, t)
     grid = interpolation.dodeca_grid(args.grid)
-    rows, values = _value_rows(grid, fn(grid))
-    obj = {"kernel": name, "n": n, "grid": args.grid, "values": values}
-    _emit(args, ["t1", "t2", "t3", "t4", "re", "im"], rows, obj)
+    obj = {"kernel": name, "n": n, "grid": args.grid}
+    _emit(args, _table(args, obj, "values", _values(grid, fn(grid))))
     return EXIT_OK
 
 
@@ -181,7 +185,6 @@ def cmd_cubature(args) -> int:
         val = transforms.cubature_tetra(f, args.n)
     else:
         val = transforms.cubature_dodeca(f, args.n)
-    header = ["set", "n", "f", "value_re", "value_im"]
     rows = [[args.set, str(args.n), args.f, _fnum(val.real), _fnum(val.imag)]]
     obj = {
         "set": args.set,
@@ -190,7 +193,8 @@ def cmd_cubature(args) -> int:
         "value_re": val.real,
         "value_im": val.imag,
     }
-    _emit(args, header, rows, obj)
+    # the CSV header is the JSON object's keys
+    _emit(args, _json(obj) if args.format == "json" else _csv(list(obj), rows))
     return EXIT_OK
 
 
@@ -203,6 +207,8 @@ def _read_samples(path, kind, n):
             raise _UsageError("sample file needs the header j1,j2,j3,j4,re,im")
         for row in reader:
             key = tuple(int(row[c]) for c in ("j1", "j2", "j3", "j4"))
+            if key in values:
+                raise _UsageError(f"sample file lists node {key} twice")
             values[key] = complex(float(row["re"]), float(row["im"]))
     try:
         return interpolation.from_node_values(kind, n, values)
@@ -223,22 +229,16 @@ def cmd_interpolate(args) -> int:
         raise _UsageError("interpolate needs either --f or --samples")
     grid = interpolation._KINDS[kind].grid(args.grid)
     approx = np.asarray(interp(grid), dtype=complex)
-    header = ["t1", "t2", "t3", "t4", "approx_re", "approx_im"]
-    rows, obj_rows = _value_rows(grid, approx)
-    obj = {"kind": kind, "n": n, "grid": args.grid, "values": obj_rows}
+    fields = _values(grid, approx, "approx_")
+    obj = {"kind": kind, "n": n, "grid": args.grid}
     if f is not None:
         exact = np.asarray(f(grid), dtype=complex)
         err = np.abs(approx - exact)
-        header += ["f_re", "f_im", "abs_err"]
-        for row, fv, e in zip(rows, exact, err):
-            row += [_fnum(fv.real), _fnum(fv.imag), _fnum(e)]
-        for orow, fv, e in zip(obj_rows, exact, err):
-            orow["f_re"] = float(fv.real)
-            orow["f_im"] = float(fv.imag)
-            orow["abs_err"] = float(e)
+        fields += [("f_re", ["f_re"], exact.real), ("f_im", ["f_im"], exact.imag),
+                   ("abs_err", ["abs_err"], err)]
         obj["max_error"] = float(err.max())
         print(f"max_error={_fnum(err.max())}", file=sys.stderr)
-    _emit(args, header, rows, obj)
+    _emit(args, _table(args, obj, "values", fields))
     return EXIT_OK
 
 
@@ -248,25 +248,21 @@ def cmd_lebesgue(args) -> int:
         grid = 17 if args.grid is None else args.grid
         quad = 64 if args.quad is None else args.quad
         est = transforms.lebesgue_Sn(n, grid_per_axis=grid, quad_order=quad)
-        qcol = str(quad)
-        qval = quad
     else:
         grid = 25 if args.grid is None else args.grid
         est = interpolation.lebesgue_interp(n, kind, grid_per_axis=grid)
-        qcol = ""
-        qval = None
+        quad = None
     ratio = est / math.log(n) ** 3 if n > 1 else float("nan")
-    header = ["kind", "n", "grid", "quad", "estimate", "ratio_log3"]
-    rows = [[kind, str(n), str(grid), qcol, _fnum(est), _fnum(ratio)]]
+    rows = [[kind, str(n), str(grid), "" if quad is None else str(quad), _fnum(est), _fnum(ratio)]]
     obj = {
         "kind": kind,
         "n": n,
         "grid": grid,
-        "quad": qval,
+        "quad": quad,
         "estimate": est,
         "ratio_log3": None if n <= 1 else ratio,
     }
-    _emit(args, header, rows, obj)
+    _emit(args, _json(obj) if args.format == "json" else _csv(list(obj), rows))
     return EXIT_OK
 
 

@@ -66,8 +66,11 @@ from .transforms import _check_points, _eval_box, _map_cube, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
+    """The operator's nodes; ValueError for an unknown kind or a degree it lacks."""
     if kind not in _KINDS:
         raise ValueError(f"unknown interpolation kind {kind!r}")
+    if kind == "ln" and n < 2:
+        raise ValueError("sine interpolation needs degree >= 2")
     return _KINDS[kind].nodes(n)
 
 
@@ -226,7 +229,6 @@ class Interpolant:
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
-    # node_set raises ValueError("degree must be >= 1") for n < 1
     nodes = node_set(kind, n)
     pts = nodes.astype(float) / (4.0 * n)
     values = np.asarray(f(pts), dtype=complex) if len(nodes) else np.zeros(0, complex)
@@ -245,8 +247,6 @@ def interp_In_star(f, n: int) -> Interpolant:
 
 def interp_Ln(f, n: int) -> Interpolant:
     """Sine interpolation at strictly interior tetrahedral nodes."""
-    if n < 2:
-        raise ValueError("sine interpolation needs degree >= 2")
     return _build("ln", n, f)
 
 
@@ -262,7 +262,8 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
     """Build an interpolant from a {index tuple: value} table.
 
     The key set must match the operator's node set exactly; a mismatch
-    reports the expected set and both counts.
+    reports the expected set and both counts.  A value that is not finite
+    is rejected with its node.
     """
     nodes = node_set(kind, n)
     want = [tuple(int(v) for v in k) for k in nodes]
@@ -273,6 +274,8 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
             f"expected {len(want)} nodes, got {len(got)}"
         )
     vals = np.array([values[k] for k in want], dtype=complex)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"node value at {want[np.argmin(np.isfinite(vals))]} is not finite")
     return Interpolant(kind=kind, n=n, nodes=nodes, values=vals)
 
 

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def write_samples(path, rows):
+    """A --samples file with one (index, complex value) pair per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j1", "j2", "j3", "j4", "re", "im"])
+        for k, v in rows:
+            w.writerow([*(int(x) for x in k), repr(v.real), repr(v.imag)])
+    return str(path)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -58,6 +68,41 @@ def test_nodes_json_is_canonical(capsys):
     assert out == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     assert obj["n"] == 1
     assert len(obj["nodes"]) == 2**4 - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("node_set_name", ["hn", "hstar", "hcirc", "lambda"])
+def test_nodes_csv_and_json_carry_the_same_table(capsys, node_set_name, n):
+    argv = ("nodes", "--set", node_set_name, "--n", str(n))
+    _, text, _ = run(capsys, *argv)
+    _, js, _ = run(capsys, *argv, "--format", "json")
+    header, rows = parse_csv(text)
+    recs = json.loads(js)["nodes"]
+    assert len(rows) == len(recs) > 0
+    for row, rec in zip(rows, recs):
+        cell = dict(zip(header, row))
+        assert [int(cell[f"j{i}"]) for i in range(1, 5)] == rec["index"]
+        assert [float(cell[f"t{i}"]) for i in range(1, 5)] == rec["point"]
+        assert [float(cell[f"x{i}"]) for i in range(1, 4)] == rec["cartesian"]
+        assert cell["stratum"] == rec["stratum"]
+        assert cell["weight"] == rec["weight"]
+        assert float(cell["weight_float"]) == float(Fraction(cell["weight"]))
+
+
+def test_interpolate_csv_and_json_carry_the_same_table(capsys):
+    argv = ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "3", "--grid", "4")
+    _, text, _ = run(capsys, *argv)
+    _, js, _ = run(capsys, *argv, "--format", "json")
+    header, rows = parse_csv(text)
+    recs = json.loads(js)["values"]
+    assert len(rows) == len(recs) > 0
+    for row, rec in zip(rows, recs):
+        cell = dict(zip(header, row))
+        assert [float(cell[f"t{i}"]) for i in range(1, 5)] == rec["point"]
+        assert float(cell["approx_re"]) == rec["re"]
+        assert float(cell["approx_im"]) == rec["im"]
+        for key in ("f_re", "f_im", "abs_err"):
+            assert float(cell[key]) == rec[key]
 
 
 def test_nodes_deterministic(capsys):
@@ -184,6 +229,28 @@ def test_interpolate_samples_mismatch(tmp_path, capsys):
     assert "node set" in err
 
 
+def test_interpolate_samples_rejects_a_repeated_node(tmp_path, capsys):
+    nodes = node_set("lnstar", 2)
+    rows = [(k, 1.0 + 0j) for k in nodes] + [(nodes[2], 5.0 + 0j)]
+    path = write_samples(tmp_path / "dup.csv", rows)
+    code, out, err = run(capsys, "interpolate", "--kind", "lnstar", "--n", "2",
+                         "--samples", path)
+    assert code == 1
+    assert out == ""
+    assert f"node {tuple(int(v) for v in nodes[2])} twice" in err
+
+
+def test_interpolate_samples_rejects_nan(tmp_path, capsys):
+    nodes = node_set("lnstar", 2)
+    rows = [(k, complex(np.nan if i == 4 else 1.0, 0.0)) for i, k in enumerate(nodes)]
+    path = write_samples(tmp_path / "nan.csv", rows)
+    code, out, err = run(capsys, "interpolate", "--kind", "lnstar", "--n", "2",
+                         "--samples", path)
+    assert code == 1
+    assert out == ""
+    assert f"node value at {tuple(int(v) for v in nodes[4])} is not finite" in err
+
+
 def test_interpolate_samples_bad_header(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
@@ -224,6 +291,13 @@ def test_lebesgue_ratio_null_at_degree_one(capsys):
     assert obj["estimate"] > 0.0
 
 
+def test_lebesgue_ln_degree_one_usage(capsys):
+    code, out, err = run(capsys, "lebesgue", "--kind", "ln", "--n", "1", "--grid", "2")
+    assert code == 1
+    assert out == ""
+    assert "sine interpolation needs degree >= 2" in err
+
+
 def test_lebesgue_interp_kind(capsys):
     code, out, _ = run(
         capsys, "lebesgue", "--kind", "lnstar", "--n", "2", "--grid", "4",
@@ -236,12 +310,20 @@ def test_lebesgue_interp_kind(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    _, direct, _ = run(capsys, "nodes", "--n", "1")
-    path = tmp_path / "nodes.csv"
-    code, out, _ = run(capsys, "nodes", "--n", "1", "--out", str(path))
-    assert code == 0
-    assert out == ""
-    assert path.read_text() == direct
+    for argv in [
+        ("nodes", "--n", "1"),
+        ("nodes", "--set", "lambda", "--n", "3"),
+        ("nodes", "--set", "hstar", "--n", "2", "--format", "json"),
+        ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "2", "--grid", "3"),
+        ("interpolate", "--kind", "in", "--f", "expsin", "--n", "2", "--grid", "3",
+         "--format", "json"),
+    ]:
+        _, direct, _ = run(capsys, *argv)
+        path = tmp_path / "table.out"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert out == ""
+        assert path.read_bytes() == direct.encode()
 
 
 def test_out_unwritable_is_io_error(tmp_path, capsys):
@@ -346,6 +428,19 @@ OUTPUT_SHA256 = {
         "eaed9ac75057f8c777d865864ed443260db7afa4349992541a6be73ca3390c4c",
     ("verify", "--n", "3"):
         "447c98033b045676a4a94cd0eeb23b076ccafce97295aace694b3f61376e7890",
+    ("kernel", "--f", "dirichlet", "--n", "2", "--grid", "4"):
+        "573b80ee537c2f840a88479171eab64817cadb6bc87f1c575fab4d0c9d494870",
+    ("kernel", "--f", "dirichlet", "--n", "2", "--grid", "4", "--format", "json"):
+        "480b656f13874ffffb10295be9e085ab34b2df110989ac5cd28bf008dd4c9b2b",
+    ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "3", "--grid", "4"):
+        "a35a431d14d94446df73e5d377721c16ec6d609bda381a17dc46e8464bc08b3a",
+    ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "3", "--grid", "4",
+     "--format", "json"):
+        "d7d98aa9f0f71a5b9737e2644b822073a96aa1ea9fad2fbb0b9e862de7277b01",
+    ("nodes", "--set", "hstar", "--n", "10", "--format", "json"):
+        "6f620cff38ab2940b91a3f9747fe3ebb5d6100070dcb65487a498f09acca8172",
+    ("nodes", "--set", "lambda", "--n", "24"):
+        "500e3cb0d792ce4a0c522adf64c979d471c2e135333f792f5f332d4a955262de",
 }
 
 
@@ -354,3 +449,22 @@ def test_output_bytes_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[argv]
+
+
+# interpolate --samples on the lnstar n=2 nodes with values re = i/4 - 1,
+# im = 1/2 - i/8 for the i-th node
+SAMPLES_SHA256 = {
+    "csv": "e8b6c6d1d3b60b966c037b375fca8dc530e3b6d127c7c037055b8c42737371cf",
+    "json": "86549be478c8d3e74a945d4113c6c07e05765211003ded0919ea1995f850c545",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SAMPLES_SHA256))
+def test_samples_output_bytes_pinned(tmp_path, capsys, fmt):
+    nodes = node_set("lnstar", 2)
+    path = write_samples(tmp_path / "samples.csv",
+                         [(k, complex(i / 4 - 1.0, 0.5 - i / 8)) for i, k in enumerate(nodes)])
+    code, out, _ = run(capsys, "interpolate", "--kind", "lnstar", "--samples", path,
+                       "--n", "2", "--grid", "3", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLES_SHA256[fmt]

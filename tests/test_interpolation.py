@@ -397,6 +397,31 @@ def test_from_node_values_rejects_mismatched_keys():
         from_node_values("lnstar", 1, data)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: interp_Ln(smooth_probe, 1),
+        lambda: lebesgue_interp(1, "ln", 2),
+        lambda: from_node_values("ln", 1, {}),
+    ],
+    ids=["interp_Ln", "lebesgue_interp", "from_node_values"],
+)
+def test_sine_operator_rejects_degree_one(entry):
+    # every entry point validates the degree the same way, in node_set
+    with pytest.raises(ValueError, match="sine interpolation needs degree >= 2"):
+        entry()
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+def test_from_node_values_rejects_non_finite_values(bad):
+    nodes = node_set("lnstar", 2)
+    data = {tuple(int(v) for v in k): 1.0 for k in nodes}
+    key = tuple(int(v) for v in nodes[3])
+    data[key] = bad
+    with pytest.raises(ValueError, match=rf"node value at \({key[0]}, .* is not finite"):
+        from_node_values("lnstar", 2, data)
+
+
 def test_interpolant_call_shapes():
     I = interp_In_star(smooth_probe, 1)
     pt = np.array([0.1, 0.05, -0.05, -0.1])
