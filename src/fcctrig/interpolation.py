@@ -33,8 +33,12 @@ k' = to_reduced(k) in [-n, n]^3 and y = t[:3], so an interpolant is one
 j[:3] mod 4n, takes one fftn F and sets c_k = w_k mean_sigma s_sigma
 F[to_reduced(k sigma) mod 4n]; ``transforms._eval_box`` evaluates the
 box, as it does Fourier partial sums.  ``lebesgue_interp`` needs each
-|ell_j| and gathers them at the node images from the per-point kernel
-cube of ``transforms._map_cube``.  The compact forms (``ell_tri``,
+|ell_j|, so it needs the kernel sum_k w_k phi_k(p - y) at every node
+image y, per grid point p.  The images fill the node group
+Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the (4n)^3 torus grid: the
+frequencies are added into their classes of that group and one FFT of
+size 4n x n x n per point gives the kernel on all of it, in chunks of at
+most 2^20 complex elements per array.  The compact forms (``ell_tri``,
 ``ell_circ``, ``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are
 the paper's identities and the oracles both routes are tested against.
 """
@@ -47,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._parallel import map_chunks
 from .indexsets import (
     class_sizes,
     generate_Hn,
@@ -62,7 +67,7 @@ from .indexsets import (
 from .kernels import phi_n_star, theta_n
 from .lattice import fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import _check_points, _eval_box, _map_cube, unit_cell_points
+from .transforms import _CHUNK_ELEMENTS, _check_points, _eval_box, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -228,11 +233,30 @@ class Interpolant:
         return box
 
 
+def _finite(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, or ValueError naming the first node whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"node value at {tuple(nodes[bad.argmax()].tolist())} is not finite")
+    return values
+
+
 def _build(kind: str, n: int, f) -> Interpolant:
+    """Sample f at the nodes: a scalar is taken at every node, any other
+    shape than (number of nodes,) is a ValueError, as is a value that is
+    not finite."""
     nodes = node_set(kind, n)
-    pts = nodes.astype(float) / (4.0 * n)
-    values = np.asarray(f(pts), dtype=complex) if len(nodes) else np.zeros(0, complex)
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=values)
+    if not len(nodes):
+        return Interpolant(kind=kind, n=n, nodes=nodes, values=np.zeros(0, complex))
+    values = np.asarray(f(nodes.astype(float) / (4.0 * n)), dtype=complex)
+    if values.ndim == 0:
+        values = np.full(len(nodes), values)
+    elif values.shape != (len(nodes),):
+        raise ValueError(
+            f"f returned shape {values.shape} at the {kind!r} nodes of degree {n}, "
+            f"expected ({len(nodes)},) or a scalar"
+        )
+    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(nodes, values))
 
 
 def interp_In(f, n: int) -> Interpolant:
@@ -274,9 +298,7 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
             f"expected {len(want)} nodes, got {len(got)}"
         )
     vals = np.array([values[k] for k in want], dtype=complex)
-    if not np.isfinite(vals).all():
-        raise ValueError(f"node value at {want[np.argmin(np.isfinite(vals))]} is not finite")
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=vals)
+    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(nodes, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +318,63 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     trivial floor, e.g. 1.0 for ``lnstar`` and 6.0 for ``instar`` at n = 8
     on grid 8.
 
-    Every ell_j(t) is gathered at the node images from the kernel cube of
-    ``transforms._map_cube``: one FFT of size (4n)^3 per grid point, two
-    arrays of at most max(2^20, (4n)^3) complex elements per worker.
+    At a grid point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y)
+    only at the node images y = j sigma / 4n.  Their j[:3] is
+    (u + 4v, u + 4w, u) mod 4n, so they fill the node group
+    Z_4n x Z_n x Z_n, and k'.y = u (k'_1 + k'_2 + k'_3) / 4n + v k'_1 / n
+    + w k'_2 / n for k' = to_reduced(k).  Per point the phases
+    w_k exp(2 pi i k'.p) (products of per-axis exps over [-n, n]) are added
+    into their class (k'_1 + k'_2 + k'_3 mod 4n, k'_1 mod n, k'_2 mod n),
+    where boundary frequencies of H_n* alias, and one FFT of size
+    4n x n x n gives K(p - y) on the whole group.  Points go in chunks
+    that cap every array a chunk forms at 2^20 complex elements per
+    worker.
     """
     nodes, spec, size = node_set(kind, n), _KINDS[kind], 4 * n
+    group, cells, d = (size, n, n), 4 * n**3, 2 * n + 1
     kk = spec.freqs(n)
-    # flat cube position of every image j sigma of every node, (nodes, images)
-    at = (nodes[:, PERM_TABLE[: len(spec.signs)]][..., :3] % size) @ [size * size, size, 1]
+    kp = to_reduced(kk)
+    cls = np.ravel_multi_index((kp.sum(axis=1) % size, kp[:, 0] % n, kp[:, 1] % n), group)
+    wvals, widx = np.unique(np.broadcast_to(spec.weights(kk, n), len(kk)), return_inverse=True)
+    # per frequency: its row of the (k'_1, k'_2) exps and of the weighted
+    # k'_3 exps; row d * d of the former is zero
+    src = np.stack([(kp[:, 0] + n) * d + kp[:, 1] + n, widx * d + kp[:, 2] + n])
+    # rank of each frequency within its class; phase row c holds the rank-0
+    # member of class c (the zero row when c is empty), and the members of
+    # rank 1, 2, ... follow in one block per rank
+    order = np.argsort(cls, kind="stable")
+    rank = np.empty_like(cls)
+    rank[order] = np.arange(len(cls)) - np.searchsorted(cls[order], cls[order])
+    levels = [np.flatnonzero(rank == r) for r in range(rank.max(initial=0) + 1)]
+    rows = np.tile([[d * d], [0]], cells)
+    rows[:, cls[levels[0]]] = src[:, levels[0]]
+    rows = np.hstack([rows] + [src[:, lv] for lv in levels[1:]])
+    adds, end = [], cells
+    for lv in levels[1:]:
+        adds.append((slice(end, end + len(lv)), cls[lv]))
+        end += len(lv)
+    # group cell of every image j sigma of every node, (images, nodes)
+    js = nodes[:, PERM_TABLE[: len(spec.signs)]].transpose(1, 0, 2)
+    at = np.ravel_multi_index((js[..., 2] % size, (js[..., 0] - js[..., 2]) // 4 % n,
+                               (js[..., 1] - js[..., 2]) // 4 % n), group)
     signs = spec.signs / len(spec.signs)
-    factor = lambdas(nodes, n) if spec.lam else 1.0
+    factor = lambdas(nodes, n) if spec.lam else np.ones(len(nodes))
+    freq = 2j * np.pi * np.arange(-n, n + 1)
 
-    def reduce(cube):
-        ell = cube.reshape(len(cube), -1)[:, at] @ signs * factor
-        return float(np.abs(ell).sum(axis=1).max())
+    def chunk(p: np.ndarray) -> float:
+        m = len(p)
+        e = np.exp(freq[:, None, None] * (p[:, :3] % 1.0).T)  # (2n + 1, 3, m)
+        e01 = np.zeros((d * d + 1, m), dtype=complex)
+        e01[:-1] = (e[:, None, 0] * e[None, :, 1]).reshape(-1, m)
+        ph = e01[rows[0]]
+        ph *= (wvals[:, None, None] * e[:, 2]).reshape(-1, m)[rows[1]]
+        for sl, c in adds:
+            ph[c] += ph[sl]
+        g = ph[:cells].reshape(*group, m)
+        np.fft.fftn(g, axes=(0, 1, 2), out=g)
+        ell = signs @ ph[at].reshape(len(signs), -1).view(float)
+        return float((factor @ np.abs(ell.view(complex).reshape(-1, m))).max())
 
-    return max(_map_cube(kk, spec.weights(kk, n), size,
-                         spec.grid(grid_per_axis), reduce, at.size))
+    pts = spec.grid(grid_per_axis)
+    step = max(1, _CHUNK_ELEMENTS // max(rows.shape[1], at.size, d * d + 1))
+    return max(map_chunks(chunk, [pts[i : i + step] for i in range(0, len(pts), step)]))

@@ -178,14 +178,14 @@ def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
 _CHUNK_ELEMENTS = 2**20
 
 
-def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce, width: int = 0) -> list:
+def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce) -> list:
     """reduce(cube) for each chunk of pts, in order, with cube[p, m] =
     sum_k w_k phi_k(pts[p] - t_m) for each cell m of a size^3 cube and
     t_m[:3] = m / size: the weights sit at k' = to_reduced(k) mod size,
     times the phases exp(2 pi i k'.pts[p, :3]), then one in-place fftn per
     point.  Each k' must lie in [-size/2, size/2)^3 (size >= 2n + 2 for
-    H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // max(size^3, width))
-    points; width is the number of elements reduce forms per point."""
+    H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // size^3) points.
+    ``lebesgue_Sn`` is the only caller."""
     coef = np.zeros((size, size, size), dtype=complex)
     coef[tuple((to_reduced(kk) % size).T)] = weights
     freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
@@ -198,7 +198,7 @@ def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce, width: int = 0) -
         np.fft.fftn(cube, axes=(1, 2, 3), out=cube)
         return reduce(cube)
 
-    rows = max(1, _CHUNK_ELEMENTS // max(size**3, width))
+    rows = max(1, _CHUNK_ELEMENTS // size**3)
     return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])
 
 

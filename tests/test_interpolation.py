@@ -187,7 +187,14 @@ def test_interp_In_factorized_matches_kernel_sum(kind, n):
 
 
 @pytest.mark.parametrize(
-    "kind, n, grid", [("in", 2, 4), ("instar", 2, 4), ("ln", 4, 5), ("lnstar", 2, 5)]
+    "kind, n, grid",
+    [("in", 2, 4), ("instar", 2, 4), ("ln", 4, 5), ("lnstar", 2, 5)]
+    # odd degrees: 4 is not a multiple of n, and the boundary frequencies
+    # of H_n* share classes of the node group
+    + [("in", 3, 5), ("in", 5, 4), ("instar", 3, 5), ("instar", 5, 4)]
+    + [("ln", 5, 6), ("lnstar", 3, 5), ("lnstar", 5, 6)]
+    # the degree the benchmark scans
+    + [("instar", 8, 3), ("lnstar", 8, 5)],
 )
 def test_lebesgue_interp_matches_compact_abs_sum(kind, n, grid):
     pts = tetra_grid(grid) if kind in ("ln", "lnstar") else dodeca_grid(grid)
@@ -228,7 +235,7 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
         raise AssertionError("per-point route used")
 
     for mod, name in [
-        (fcctrig.interpolation, "_map_cube"),
+        (fcctrig.interpolation, "map_chunks"),
         (fcctrig.transforms, "_map_cube"),
         (fcctrig.transforms, "map_chunks"),
         (fcctrig._parallel, "map_chunks"),
@@ -237,6 +244,32 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
     t = dodeca_grid(4)
     for build in (interp_In, interp_In_star, interp_Ln, interp_Ln_star):
         assert np.all(np.isfinite(build(smooth_probe, 4)(t)))
+
+
+def test_lebesgue_interp_uses_the_node_group(monkeypatch):
+    # no kind falls back to the (4n)^3 kernel cube
+    import fcctrig.transforms
+
+    def boom(*args, **kwargs):
+        raise AssertionError("kernel cube used")
+
+    monkeypatch.setattr(fcctrig.transforms, "_map_cube", boom)
+    for kind, n in (("in", 3), ("instar", 3), ("ln", 5), ("lnstar", 3)):
+        assert lebesgue_interp(n, kind, grid_per_axis=5) >= 1.0 - 1e-9
+
+
+def test_lebesgue_interp_memory_is_bounded(monkeypatch):
+    # every array a chunk forms holds at most 2^20 complex numbers; about
+    # 33 MiB and 52 MiB measured, against 96 MiB allowed
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    for kind, grid in (("lnstar", 6), ("instar", 4)):
+        tracemalloc.start()
+        try:
+            lebesgue_interp(16, kind, grid_per_axis=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2**20, (kind, peak)
 
 
 def test_coefficient_box_is_built_once(monkeypatch):
@@ -420,6 +453,37 @@ def test_from_node_values_rejects_non_finite_values(bad):
     data[key] = bad
     with pytest.raises(ValueError, match=rf"node value at \({key[0]}, .* is not finite"):
         from_node_values("lnstar", 2, data)
+
+
+def test_build_takes_a_scalar_at_every_node():
+    I = interp_Ln_star(lambda t: 2.5, 2)
+    assert I.values.shape == (len(node_set("lnstar", 2)),)
+    assert np.all(I.values == 2.5)
+    t = tetra_grid(3)
+    assert np.array_equal(I(t), interp_Ln_star(lambda t: np.full(t.shape[:-1], 2.5), 2)(t))
+
+
+def test_build_rejects_values_of_the_wrong_shape():
+    # a trailing axis used to build and then fail inside the first call
+    with pytest.raises(ValueError, match=r"shape \(10, 1\).*expected \(10,\)"):
+        interp_Ln_star(lambda t: np.ones(t.shape[:-1] + (1,)), 2)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        interp_In(lambda t: np.ones(3), 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_build_rejects_non_finite_values(bad):
+    # the same check as from_node_values, naming the node
+    nodes = node_set("lnstar", 2)
+    key = tuple(int(v) for v in nodes[3])
+
+    def f(t):
+        out = np.ones(t.shape[:-1])
+        out[3] = bad
+        return out
+
+    with pytest.raises(ValueError, match=rf"node value at \({key[0]}, .* is not finite"):
+        interp_Ln_star(f, 2)
 
 
 def test_interpolant_call_shapes():
