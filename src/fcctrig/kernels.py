@@ -3,9 +3,11 @@
 Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set in fixed lexicographic order.  The
 compact forms are production code only for the ``kernel`` CLI command;
-interpolation, the Lebesgue scans and Fourier coefficients run FFTs on the
-lattice cube (``transforms``), and the compact and direct forms are their
-oracles.  All kernels accept arrays of points of shape (..., 4) and broadcast.
+interpolation, the Lebesgue scans and Fourier coefficients work on
+coefficient boxes, FFTs of node or cell samples and the node group
+(``interpolation``, ``transforms``), and the compact and direct forms are
+their oracles.  All kernels accept arrays of points of shape (..., 4) and
+broadcast.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node

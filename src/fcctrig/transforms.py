@@ -155,51 +155,43 @@ def partial_sum(coeffs: FourierCoeffs, t) -> np.ndarray:
 
 
 def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
-    """Grid estimate of the partial-sum operator norm.
+    """Grid estimate of the partial-sum operator norm, the integral of |D_n|.
 
     Maximum over the unit-cell t-grid of the mean of |D_n(t - s)| over the
-    unit-cell quadrature grid in s, a lower estimate of the true norm.
-    It costs grid_per_axis^3 FFTs of size (q r)^3, q = quad_order and
-    r = ceil((2n + 2) / q): D_n(t - s) at every s is every r-th cell of
-    one ``_map_cube`` cube.
+    q^3 unit-cell quadrature grid in s, q = quad_order.  Each mean is a
+    q-point quadrature of the norm, so the maximum can lie above it as well
+    as below: the mean of |D_4| is 6.936858 at q = 24 against 6.927542 at
+    q = 128.  D_n is the (2n+1)^3 box of ones at to_reduced(H_n*) + n and
+    s[:3] = u / q, so D_n(t - s) at every s is that box contracted one axis
+    at a time with the q x (2n+1) matrices exp(2 pi i k (t_i - u / q)).  A
+    chunk holds max(1, 2^20 // max(q, 2n + 1)^3) t-points, so no array it
+    forms exceeds max(2^20, max(q, 2n + 1)^3) complex numbers.
     """
     if grid_per_axis < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {grid_per_axis}")
     if quad_order < 2:
         raise ValueError("quadrature order must be at least 2")
-    r = -(-(2 * n + 2) // quad_order)
-    return max(_map_cube(
-        generate_Hn_star(n), 1.0, quad_order * r, unit_cell_points(grid_per_axis),
-        lambda cube: float(np.abs(cube[:, ::r, ::r, ::r]).mean(axis=(1, 2, 3)).max()),
-    ))
+    kk = generate_Hn_star(n)  # raises for n < 1 before the box is sized
+    d, q = 2 * n + 1, quad_order
+    box = np.zeros((d, d, d), dtype=complex)
+    box[tuple((to_reduced(kk) + n).T)] = 1.0
+    freq = 2j * np.pi * np.arange(-n, n + 1)
+    u = np.arange(q) / q
+
+    def chunk(t: np.ndarray) -> float:
+        e = np.exp(((t[:, :3, None] % 1.0) - u)[..., None] * freq)  # (m, 3, q, d)
+        g = (e[:, 0] @ box.reshape(d, d * d)).reshape(-1, q, d, d)
+        g = e[:, 1, None] @ g  # (m, q, q, d)
+        g = g @ e[:, 2, None].transpose(0, 1, 3, 2)  # (m, q, q, q)
+        return float(np.abs(g).mean(axis=(1, 2, 3)).max())
+
+    t = unit_cell_points(grid_per_axis)
+    rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 3)
+    return max(map_chunks(chunk, [t[i : i + rows] for i in range(0, len(t), rows)]))
 
 
 # complex elements in any one array that a chunk of points forms
 _CHUNK_ELEMENTS = 2**20
-
-
-def _map_cube(kk, weights, size: int, pts: np.ndarray, reduce) -> list:
-    """reduce(cube) for each chunk of pts, in order, with cube[p, m] =
-    sum_k w_k phi_k(pts[p] - t_m) for each cell m of a size^3 cube and
-    t_m[:3] = m / size: the weights sit at k' = to_reduced(k) mod size,
-    times the phases exp(2 pi i k'.pts[p, :3]), then one in-place fftn per
-    point.  Each k' must lie in [-size/2, size/2)^3 (size >= 2n + 2 for
-    H_n*).  A chunk holds max(1, _CHUNK_ELEMENTS // size^3) points.
-    ``lebesgue_Sn`` is the only caller."""
-    coef = np.zeros((size, size, size), dtype=complex)
-    coef[tuple((to_reduced(kk) % size).T)] = weights
-    freq = 2j * np.pi * np.fft.fftfreq(size, 1.0 / size)
-
-    def chunk(p: np.ndarray):
-        phase = np.exp((p[:, :3, None] % 1.0) * freq)  # (m, 3, size)
-        cube = coef * phase[:, 0, :, None, None]
-        cube *= phase[:, 1, None, :, None]
-        cube *= phase[:, 2, None, None, :]
-        np.fft.fftn(cube, axes=(1, 2, 3), out=cube)
-        return reduce(cube)
-
-    rows = max(1, _CHUNK_ELEMENTS // size**3)
-    return map_chunks(chunk, [pts[i : i + rows] for i in range(0, len(pts), rows)])
 
 
 def _eval_box(box: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -226,7 +226,7 @@ def test_evaluation_memory_is_bounded(build, n, grid):
 
 
 def test_evaluation_uses_the_coefficient_box(monkeypatch):
-    # no kind falls back to the per-point FFT cube or the chunk pool
+    # no kind falls back to the chunk pool of the Lebesgue scans
     import fcctrig._parallel
     import fcctrig.interpolation
     import fcctrig.transforms
@@ -236,7 +236,6 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
 
     for mod, name in [
         (fcctrig.interpolation, "map_chunks"),
-        (fcctrig.transforms, "_map_cube"),
         (fcctrig.transforms, "map_chunks"),
         (fcctrig._parallel, "map_chunks"),
     ]:
@@ -244,18 +243,6 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
     t = dodeca_grid(4)
     for build in (interp_In, interp_In_star, interp_Ln, interp_Ln_star):
         assert np.all(np.isfinite(build(smooth_probe, 4)(t)))
-
-
-def test_lebesgue_interp_uses_the_node_group(monkeypatch):
-    # no kind falls back to the (4n)^3 kernel cube
-    import fcctrig.transforms
-
-    def boom(*args, **kwargs):
-        raise AssertionError("kernel cube used")
-
-    monkeypatch.setattr(fcctrig.transforms, "_map_cube", boom)
-    for kind, n in (("in", 3), ("instar", 3), ("ln", 5), ("lnstar", 3)):
-        assert lebesgue_interp(n, kind, grid_per_axis=5) >= 1.0 - 1e-9
 
 
 def test_lebesgue_interp_memory_is_bounded(monkeypatch):

@@ -2,6 +2,8 @@ import pytest
 
 from fcctrig import _parallel
 from fcctrig._parallel import map_chunks, thread_count
+from fcctrig.interpolation import lebesgue_interp
+from fcctrig.transforms import lebesgue_Sn
 
 
 def test_thread_count_env(monkeypatch):
@@ -58,3 +60,19 @@ def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 1)
     assert map_chunks(lambda c: c + 1, chunks) == [c + 1 for c in chunks]
     assert requested == [2]
+
+
+def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
+    # each scan splits into several chunks (16, 3 and 2), so two workers
+    # (on a host with two CPUs or more) really share them; the results
+    # must agree to the last bit
+    scans = [
+        lambda: lebesgue_Sn(2, grid_per_axis=4, quad_order=64),
+        lambda: lebesgue_interp(16, "lnstar", grid_per_axis=7),
+        lambda: lebesgue_interp(16, "in", grid_per_axis=5),
+    ]
+    for scan in scans:
+        monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+        serial = scan()
+        monkeypatch.setenv("FCC_TRIG_THREADS", "2")
+        assert scan() == serial

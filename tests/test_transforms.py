@@ -327,10 +327,12 @@ def test_lebesgue_Sn_small():
     assert vals[0] < vals[1] < vals[2]
 
 
-@pytest.mark.parametrize("n, quad", [(1, 8), (2, 8), (3, 8), (4, 6)])
+@pytest.mark.parametrize(
+    "n, quad", [(1, 8), (2, 8), (3, 8), (4, 6), (5, 7), (2, 3), (6, 4), (3, 2)]
+)
 def test_lebesgue_Sn_matches_direct_oracle(n, quad):
     # max over t of the mean over s of |D_n(t - s)| by explicit exponential
-    # sums; quad 6 < 2n + 2 at n = 4 reads every second cell of a 12^3 cube
+    # sums; odd q, q < 2n + 1 (frequencies alias on the s-grid) and q = 2
     s = unit_cell_points(quad)
     want = max(
         float(np.abs(dirichlet_direct(n, t - s)).mean()) for t in unit_cell_points(3)
@@ -340,7 +342,7 @@ def test_lebesgue_Sn_matches_direct_oracle(n, quad):
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_lebesgue_Sn_rejects_degree_below_one(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
         lebesgue_Sn(n, grid_per_axis=3, quad_order=8)
 
 
@@ -348,18 +350,21 @@ def test_lebesgue_Sn_rejects_degree_below_one(n):
     "call",
     [
         lambda: lebesgue_Sn(2, grid_per_axis=3, quad_order=64),
+        lambda: lebesgue_Sn(16, grid_per_axis=9, quad_order=8),
         lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 5),
         lambda: partial_sum(
             fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 8),
             dodeca_grid(20),
         ),
     ],
-    ids=["lebesgue_Sn", "fourier_coeffs", "partial_sum"],
+    ids=["lebesgue_Sn", "lebesgue_Sn_wide_box", "fourier_coeffs", "partial_sum"],
 )
 def test_grid_sums_memory_is_bounded(call, monkeypatch):
     # scratch is bounded per chunk and worker, not proportional to points x
     # quadrature points or points x frequencies (about 1,080, 284 and
-    # 602 MiB that way); one worker keeps the peak independent of the CPU count
+    # 602 MiB that way); one worker keeps the peak independent of the CPU count.
+    # In the wide-box case 2n + 1 = 33 > q = 8, so a chunk sized by q^3 alone
+    # would form arrays of 729 x 8 x 33^2 complex numbers, 97 MiB each
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
     tracemalloc.start()
     try:
