@@ -58,7 +58,7 @@ from .lattice import (
     phi,
     to_homogeneous,
 )
-from .symmetry import G_MINUS, G_PLUS, GROUP, Perm4, orbit, project_minus, project_plus
+from .symmetry import G_MINUS, G_PLUS, orbit, project_minus, project_plus
 from .tetra import (
     in_tetra_H,
     in_tetra_regular,

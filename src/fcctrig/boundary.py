@@ -13,12 +13,10 @@ user-supplied evaluation points and use tolerances.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .lattice import homo_point, hindex, in_closed_omega_H
-from .symmetry import GROUP
+from .symmetry import PERM_TABLE
 
 
 def classify(t, tol: float = 1e-9):
@@ -66,10 +64,10 @@ def classify_index(k, n: int):
     return I, J
 
 
-def _moving_only(labels):
-    """Group elements permuting only the given 1-based slots."""
+def _moving_only(labels) -> np.ndarray:
+    """Rows of PERM_TABLE permuting only the given 1-based slots, identity first."""
     fixed = [m for m in range(4) if (m + 1) not in labels]
-    return [p for p in GROUP if all(p.images[m] == m for m in fixed)]
+    return PERM_TABLE[(PERM_TABLE[:, fixed] == fixed).all(axis=1)]
 
 
 def congruent_orbit(t, tol: float = 1e-9):
@@ -82,7 +80,7 @@ def congruent_orbit(t, tol: float = 1e-9):
     I, J = classify(t, tol=tol)
     out = []
     for p in _moving_only(I | J):
-        s = p.apply(t)
+        s = t[p]
         if not any(np.max(np.abs(s - q)) < 1e-10 for q in out):
             out.append(s)
     return out
@@ -94,13 +92,9 @@ def congruent_orbit_index(k, n: int):
     I, J = classify_index(k, n)
     seen, out = set(), []
     for p in _moving_only(I | J):
-        s = tuple(int(v) for v in p.apply(k))
+        s = tuple(k[p].tolist())
         if s not in seen:
             seen.add(s)
             out.append(s)
     return out
 
-
-def orbit_count(I, J) -> int:
-    """Expected orbit size for an open-stratum label."""
-    return comb(len(I) + len(J), len(I))

@@ -166,6 +166,8 @@ def cmd_nodes(args) -> int:
 
 def cmd_kernel(args) -> int:
     n, name = args.n, args.f
+    if n < 1:
+        raise _UsageError("degree must be >= 1")
     if name == "phi":
         fn = _builtin("phi", _parse_k(args.k) if args.k else None)
     else:

@@ -166,15 +166,15 @@ def lambda_nodes(n: int) -> np.ndarray:
 
 def lambda_circ_nodes(n: int) -> np.ndarray:
     """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4)."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     rows = [
         (a, b, c)
         for a in range(1, n)
         for b in range(1, a)
         for c in range(1, b)
     ]
-    if not rows:
-        return np.zeros((0, 4), dtype=np.int64)
-    return _from_reduced(np.array(rows, dtype=np.int64))
+    return _from_reduced(np.array(rows, dtype=np.int64).reshape(-1, 3))
 
 
 def lambda_weights(n: int) -> np.ndarray:

@@ -67,7 +67,8 @@ from .indexsets import (
 from .kernels import phi_n_star, theta_n
 from .lattice import fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import _CHUNK_ELEMENTS, _check_points, _eval_box, unit_cell_points
+from .transforms import (_CHUNK_ELEMENTS, _check_points, _eval_box, _finite, _sample,
+                         unit_cell_points)
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -233,30 +234,13 @@ class Interpolant:
         return box
 
 
-def _finite(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values, or ValueError naming the first node whose value is not finite."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"node value at {tuple(nodes[bad.argmax()].tolist())} is not finite")
-    return values
-
-
 def _build(kind: str, n: int, f) -> Interpolant:
-    """Sample f at the nodes: a scalar is taken at every node, any other
-    shape than (number of nodes,) is a ValueError, as is a value that is
-    not finite."""
+    """Sample f at the nodes with ``transforms._sample``."""
     nodes = node_set(kind, n)
     if not len(nodes):
         return Interpolant(kind=kind, n=n, nodes=nodes, values=np.zeros(0, complex))
-    values = np.asarray(f(nodes.astype(float) / (4.0 * n)), dtype=complex)
-    if values.ndim == 0:
-        values = np.full(len(nodes), values)
-    elif values.shape != (len(nodes),):
-        raise ValueError(
-            f"f returned shape {values.shape} at the {kind!r} nodes of degree {n}, "
-            f"expected ({len(nodes)},) or a scalar"
-        )
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(nodes, values))
+    values = _sample(f, nodes / (4.0 * n), f"the {kind!r} nodes of degree {n}", nodes)
+    return Interpolant(kind=kind, n=n, nodes=nodes, values=values)
 
 
 def interp_In(f, n: int) -> Interpolant:
@@ -298,7 +282,7 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
             f"expected {len(want)} nodes, got {len(got)}"
         )
     vals = np.array([values[k] for k in want], dtype=complex)
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(nodes, vals))
+    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(vals, nodes))
 
 
 # ---------------------------------------------------------------------------

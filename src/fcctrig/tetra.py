@@ -42,8 +42,10 @@ def point_h_to_regular(t) -> np.ndarray:
 
 
 def point_regular_to_h(x) -> np.ndarray:
-    """Homogenize regular coordinates: append t_4 = -(x1+x2+x3)/4."""
+    """Homogenize regular coordinates (..., 3): append t_4 = -(x1+x2+x3)/4."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 3:
+        raise ValueError(f"regular points need 3 coordinates, got shape {x.shape}")
     t4 = -x.sum(axis=-1, keepdims=True) / 4.0
     return np.concatenate([x + t4, t4], axis=-1)
 

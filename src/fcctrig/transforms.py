@@ -42,6 +42,28 @@ def _check_points(t) -> np.ndarray:
     return t
 
 
+def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
+    """values, or ValueError naming the first row of at whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{what} at {tuple(at[bad.argmax()].tolist())} is not finite")
+    return values
+
+
+def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what: str = "node value"):
+    """f at the N points pts as N complex values.  A scalar is taken at every
+    point; any other shape than (N,) is a ValueError naming where, as is a
+    value that is not finite, named by its row of at."""
+    values = np.asarray(f(pts), dtype=complex)
+    if values.ndim == 0:
+        values = np.full(len(pts), values)
+    elif values.shape != (len(pts),):
+        raise ValueError(
+            f"f returned shape {values.shape} at {where}, expected ({len(pts)},) or a scalar"
+        )
+    return _finite(values, at, what)
+
+
 def one(t) -> np.ndarray:
     """The constant function 1 in the vectorized calling convention."""
     return np.ones(np.asarray(t).shape[:-1])
@@ -130,11 +152,13 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> FourierCoeffs:
     """Coefficients of f against the star frequency set via the cell grid.
 
     One FFT of f on the q^3 grid (t[:3] = u / q), read at to_reduced(k) mod
-    q; frequencies congruent mod q alias when q < 2n + 1.
+    q; frequencies congruent mod q alias when q < 2n + 1.  f is sampled
+    with ``_sample``, as the interpolant builders sample it.
     """
     q = 4 * n + 4 if quad_order is None else quad_order
     kk = generate_Hn_star(n)
-    fv = np.asarray(f(unit_cell_points(q)), dtype=complex).reshape(q, q, q)
+    pts = unit_cell_points(q)
+    fv = _sample(f, pts, f"the {q}^3 cell grid", pts, "value of f").reshape(q, q, q)
     coeffs = np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3
     return FourierCoeffs(n, {tuple(k): complex(c) for k, c in zip(kk.tolist(), coeffs)})
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .lattice import hindex, phi
-from .symmetry import G_MINUS, G_PLUS, orbit, orbit_size
+from .symmetry import orbit, orbit_size, project_minus
 
 # coordinate pairings (a, b | c, d); the v-difference keeps the printed
 # cyclic orientation t3 - t4, t4 - t2, t2 - t3
@@ -88,10 +88,7 @@ def ts_direct(k, t) -> np.ndarray:
     k = _check_monotone(k)
     if len({int(v) for v in k}) < 4:
         raise ValueError("generalized sine needs strictly decreasing indices")
-    t = np.asarray(t, dtype=float)
-    plus = sum(phi(k, p.apply(t)) for p in G_PLUS)
-    minus = sum(phi(k, p.apply(t)) for p in G_MINUS)
-    return -(plus - minus) / 24.0
+    return -project_minus(lambda s: phi(k, s), t)
 
 
 def tc_orthogonality_value(k) -> Fraction:

@@ -130,6 +130,16 @@ def test_kernel_phi_needs_k(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("f", ["phi", "theta", "dirichlet", "phin", "phistar"])
+def test_kernel_rejects_degree_below_one(capsys, f, n):
+    # phistar used to print NaN rows and dirichlet -1 everywhere, with exit 0
+    code, out, err = run(capsys, "kernel", "--f", f, "--k", "0,0,0,0", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert "degree must be >= 1" in err
+
+
 def test_cubature_phi_delta(capsys):
     code, out, _ = run(
         capsys, "cubature", "--f", "phi", "--k", "0,0,0,0", "--n", "2",

@@ -143,6 +143,13 @@ def test_lambda_circ_empty_below_four():
     assert tuple(int(v) for v in lambda_circ_nodes(4)[0]) == (6, 2, -2, -6)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_lambda_circ_rejects_degree_below_one(n):
+    # like lambda_nodes and the other generators, not an empty set
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        lambda_circ_nodes(n)
+
+
 @pytest.mark.parametrize("n", NS)
 def test_lambda_nodes_are_monotone_star_representatives(n):
     star = {tuple(int(v) for v in row) for row in generate_Hn_star(n)}

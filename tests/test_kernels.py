@@ -92,6 +92,16 @@ def test_dirichlet_zero_degree():
     assert np.abs(dirichlet(0, t) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_phi_star_rejects_degree_below_one(n):
+    # as phi_n_fund does; n = 0 used to give NaN from the 1/4n^3 factor
+    t = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        phi_n_star(n, t)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        phi_n_fund(n, t)
+
+
 def test_theta_zero_degree_vanishes():
     rng = np.random.default_rng(14)
     t = rand_t(rng, 20)
@@ -160,13 +170,13 @@ def test_kernels_are_lattice_periodic(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernels_are_permutation_invariant(n):
-    from fcctrig.symmetry import GROUP
+    from fcctrig.symmetry import PERM_TABLE
 
     rng = np.random.default_rng(19)
     t = rand_t(rng, 30)
     d0 = dirichlet(n, t)
     p0 = phi_n_star(n, t)
-    for p in GROUP:
-        tp = p.apply(t)
+    for p in PERM_TABLE:
+        tp = t[..., p]
         assert np.abs(dirichlet(n, tp) - d0).max() < 1e-10
         assert np.abs(phi_n_star(n, tp) - p0).max() < 1e-12

@@ -4,78 +4,86 @@ import pytest
 from fcctrig.symmetry import (
     G_MINUS,
     G_PLUS,
-    GROUP,
-    IDENTITY,
     PERM_SIGNS,
     PERM_TABLE,
-    Perm4,
-    act_index,
-    act_point,
-    all_images,
     orbit,
     orbit_size,
     project_minus,
     project_plus,
-    transposition,
 )
+
+ROWS = {tuple(p) for p in PERM_TABLE.tolist()}
+
+
+def _sign(p) -> float:
+    """Parity computed independently of the table: det of the permutation matrix."""
+    return round(np.linalg.det(np.eye(4)[p]))
 
 
 def test_group_roster():
-    assert len(GROUP) == 24
-    assert len(set(GROUP)) == 24
-    assert len(G_PLUS) == 12 and all(p.parity == 1 for p in G_PLUS)
-    assert len(G_MINUS) == 12 and all(p.parity == -1 for p in G_MINUS)
-    assert set(G_PLUS + G_MINUS) == set(GROUP)
-    assert IDENTITY in G_PLUS
+    assert PERM_TABLE.shape == (24, 4) and PERM_TABLE.dtype == np.int64
+    assert PERM_SIGNS.shape == (24,) and PERM_SIGNS.dtype == np.float64
+    assert len(ROWS) == 24
+    assert all(sorted(p) == [0, 1, 2, 3] for p in ROWS)
+    assert PERM_TABLE[0].tolist() == [0, 1, 2, 3]
+    assert np.array_equal(G_PLUS, PERM_TABLE[:12])
+    assert np.array_equal(G_MINUS, PERM_TABLE[12:])
+    for table in (PERM_TABLE, PERM_SIGNS, G_PLUS, G_MINUS):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_group_axioms():
-    for p in GROUP:
-        assert p @ p.inverse() == IDENTITY
-        assert p.inverse() @ p == IDENTITY
-    # closure and associativity on a sample
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b, c = (GROUP[i] for i in rng.integers(0, 24, size=3))
-        assert a @ b in GROUP
-        assert (a @ b) @ c == a @ (b @ c)
+    # closure: acting by a then by b is acting by the row a[b]
+    for a in PERM_TABLE:
+        for b in PERM_TABLE:
+            assert tuple(a[b].tolist()) in ROWS
+        assert tuple(np.argsort(a).tolist()) in ROWS
+        assert np.array_equal(a[np.argsort(a)], PERM_TABLE[0])
 
 
 def test_parity_is_a_homomorphism():
-    for a in GROUP:
-        for b in GROUP:
-            assert (a @ b).parity == a.parity * b.parity
+    sign = dict(zip(map(tuple, PERM_TABLE.tolist()), PERM_SIGNS))
+    for a in PERM_TABLE:
+        for b in PERM_TABLE:
+            ab = tuple(a[b].tolist())
+            assert sign[ab] == sign[tuple(a.tolist())] * sign[tuple(b.tolist())]
+
+
+def test_signs_are_parities():
+    assert PERM_SIGNS.tolist() == [_sign(p) for p in PERM_TABLE]
+    assert PERM_SIGNS.sum() == 0
+    # within each parity class the rows keep itertools.permutations order
+    for block in (G_PLUS, G_MINUS):
+        keys = [tuple(p) for p in block.tolist()]
+        assert keys == sorted(keys)
 
 
 def test_transposition_and_apply():
-    s = transposition(1, 2)
-    assert s.apply(np.array([10.0, 20.0, 30.0, 40.0])).tolist() == [20.0, 10.0, 30.0, 40.0]
-    assert s.parity == -1
-    with pytest.raises(ValueError):
-        transposition(1, 1)
+    # the six transpositions are the odd rows that fix two slots; applied
+    # as t[..., row] they swap the other two coordinates
+    t = np.array([10.0, 20.0, 30.0, 40.0])
+    swaps = [p for p in PERM_TABLE if (p != np.arange(4)).sum() == 2]
+    assert len(swaps) == 6
+    for p in swaps:
+        assert PERM_SIGNS[(PERM_TABLE == p).all(axis=1)].tolist() == [-1.0]
+        i, j = np.flatnonzero(p != np.arange(4))
+        want = t.copy()
+        want[[i, j]] = want[[j, i]]
+        assert t[p].tolist() == want.tolist()
 
 
 def test_action_composes_contravariantly():
-    # t acted by (a @ b) equals acting by a then by b
+    # t acted by a, then by b, equals t acted by the composed row a[b]
     rng = np.random.default_rng(1)
     t = rng.standard_normal((5, 4))
-    for a in GROUP[:6]:
-        for b in GROUP[10:16]:
-            lhs = act_point(a @ b, t)
-            rhs = act_point(b, act_point(a, t))
-            assert np.abs(lhs - rhs).max() == 0
-
-
-def test_all_images_matches_loop():
-    rng = np.random.default_rng(2)
-    t = rng.standard_normal((7, 4))
-    imgs = all_images(t)
-    assert imgs.shape == (7, 24, 4)
-    perms = [Perm4(tuple(row)) for row in PERM_TABLE]
-    for i, p in enumerate(perms):
-        assert np.array_equal(imgs[:, i, :], p.apply(t))
-    assert PERM_SIGNS.tolist() == [p.parity for p in perms]
-    assert PERM_SIGNS.sum() == 0
+    for a in PERM_TABLE[:6]:
+        for b in PERM_TABLE[10:16]:
+            assert np.array_equal(t[..., a][..., b], t[..., a[b]])
+    imgs = t[..., PERM_TABLE]
+    assert imgs.shape == (5, 24, 4)
+    for i, p in enumerate(PERM_TABLE):
+        assert np.array_equal(imgs[:, i], t[:, p])
 
 
 def test_orbit_sizes():
@@ -88,12 +96,12 @@ def test_orbit_sizes():
         orb = orbit(k)
         assert len(orb) == orbit_size(k)
         assert len(set(orb)) == len(orb)
+        assert all(type(v) is int for m in orb for v in m)
 
 
-def test_act_index_preserves_index_validity():
+def test_permuted_index_stays_valid():
     k = np.array([6, 2, -2, -6])
-    for p in GROUP:
-        kk = act_index(p, k)
+    for kk in k[PERM_TABLE]:
         assert kk.sum() == 0
         assert np.all(kk % 4 == kk[0] % 4)
 
@@ -107,12 +115,15 @@ def test_projectors():
 
     sym = project_plus(f, t)
     alt = project_minus(f, t)
-    # projected values are invariant / alternating under every permutation
-    for p in GROUP:
-        tp = act_point(p, t)
+    # P+ is invariant and P- alternates under every permutation
+    for p, s in zip(PERM_TABLE, PERM_SIGNS):
+        tp = t[..., p]
         assert np.abs(project_plus(f, tp) - sym).max() < 1e-12
-        assert np.abs(project_minus(f, tp) - p.parity * alt).max() < 1e-12
+        assert np.abs(project_minus(f, tp) - s * alt).max() < 1e-12
     # plus and minus parts are complementary projections of the group mean
     both = project_plus(f, t) + project_minus(f, t)
-    even_part = sum(f(act_point(p, t)) for p in G_PLUS) / 12.0
+    even_part = sum(f(t[..., p]) for p in G_PLUS) / 12.0
     assert np.abs(both - even_part).max() < 1e-12
+    # applied twice, each projection is itself
+    assert np.abs(project_plus(lambda u: project_plus(f, u), t) - sym).max() < 1e-12
+    assert np.abs(project_minus(lambda u: project_minus(f, u), t) - alt).max() < 1e-12

@@ -29,6 +29,15 @@ def test_index_regular_to_h_validates():
         index_regular_to_h([1, 2])
 
 
+@pytest.mark.parametrize("shape", [(2,), (5, 4), ()])
+def test_point_regular_to_h_needs_three_coordinates(shape):
+    # a 2-coordinate x used to fail later, asking for 4 coordinates
+    with pytest.raises(ValueError, match="regular points need 3 coordinates"):
+        point_regular_to_h(np.zeros(shape))
+    with pytest.raises(ValueError, match="regular points need 3 coordinates"):
+        regular_interpolate(lambda x: x[..., 0], 2, np.zeros(shape))
+
+
 def test_point_maps_round_trip():
     rng = np.random.default_rng(60)
     t = rng.uniform(-1, 1, size=(50, 4))

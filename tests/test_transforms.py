@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -193,6 +194,44 @@ def test_ts_discrete_orthogonality(n):
 
 def test_inner_tetra_interior_empty_is_zero():
     assert inner_tetra_interior(one, one, 2) == 0j
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_inner_tetra_interior_rejects_degree_below_one(n):
+    # used to return 0j through an empty lambda_circ_nodes(n)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        inner_tetra_interior(one, one, n)
+
+
+def test_fourier_coeffs_takes_a_scalar_everywhere():
+    # a scalar used to fail with "cannot reshape array of size 1"
+    c = fourier_coeffs(lambda t: 2.5, 2)
+    assert c.values == fourier_coeffs(lambda t: np.full(t.shape[:-1], 2.5), 2).values
+    assert c.values[(0, 0, 0, 0)] == pytest.approx(2.5, abs=1e-14)
+
+
+def test_fourier_coeffs_rejects_values_of_the_wrong_shape():
+    want = r"shape \(216, 1\) at the 6\^3 cell grid, expected \(216,\)"
+    with pytest.raises(ValueError, match=want):
+        fourier_coeffs(lambda t: np.ones(t.shape[:-1] + (1,)), 1, quad_order=6)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        fourier_coeffs(lambda t: np.ones(3), 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fourier_coeffs_rejects_non_finite_values(bad):
+    # a NaN sample used to give NaN coefficients silently; the error names
+    # the grid point, as the interpolant builders name the node
+    pts = unit_cell_points(8)
+
+    def f(t):
+        out = np.ones(t.shape[:-1])
+        out[5] = bad
+        return out
+
+    at = re.escape(str(tuple(pts[5].tolist())))
+    with pytest.raises(ValueError, match=rf"value of f at {at} is not finite"):
+        fourier_coeffs(f, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
