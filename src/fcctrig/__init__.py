@@ -69,7 +69,7 @@ from .tetra import (
     regular_interpolate,
 )
 from .transforms import (
-    FourierCoeffs,
+    TrigPoly,
     continuous_inner,
     cubature_dodeca,
     cubature_tetra,
@@ -80,7 +80,6 @@ from .transforms import (
     inner_tetra,
     inner_tetra_interior,
     lebesgue_Sn,
-    partial_sum,
 )
 from .trigbasis import tc, tc_direct, tc_orthogonality_value, ts, ts_direct
 

@@ -13,6 +13,8 @@ user-supplied evaluation points and use tolerances.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .lattice import homo_point, hindex, in_closed_omega_H
@@ -51,7 +53,7 @@ def boundary_slots(kk, n: int):
     """
     kk = np.asarray(kk, dtype=np.int64).reshape(-1, 4)
     d = kk[:, :, None] - kk[:, None, :]
-    if np.any(np.abs(d) > 4 * n):
+    if np.any(np.abs(d) > 4 * operator.index(n)):
         raise ValueError("index outside the closed node set for this degree")
     hit = d == 4 * n
     return hit.any(axis=2), hit.any(axis=1)

@@ -14,6 +14,7 @@ to float only when a quadrature sum is actually formed.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import comb
 
@@ -28,6 +29,14 @@ TETRA_STRATA = {w: name for name, w in TETRA_WEIGHTS.items()}
 
 # _BINOM[a + b, a] = binom(a + b, a) for the stratum sizes |I|, |J| <= 3
 _BINOM = np.array([[comb(m, i) for i in range(5)] for m in range(5)], dtype=np.int64)
+
+
+def _degree(n) -> int:
+    """n as an int (NumPy integers too); TypeError for a non-integer."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return n
 
 
 def _from_reduced(kp: np.ndarray) -> np.ndarray:
@@ -56,8 +65,7 @@ def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
 
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     kp = _reduced_box(-n + 1, n)
     keep = np.ones(len(kp), dtype=bool)
     for i in range(3):
@@ -69,8 +77,7 @@ def generate_Hn(n: int) -> np.ndarray:
 
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     kp = _reduced_box(-n, n)
     keep = np.ones(len(kp), dtype=bool)
     for i in range(3):
@@ -81,8 +88,7 @@ def generate_Hn_star(n: int) -> np.ndarray:
 
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     if n == 1:
         return np.zeros((1, 4), dtype=np.int64)
     return generate_Hn_star(n - 1)
@@ -148,13 +154,13 @@ def tetra_stratum(k, n: int) -> str:
 
 
 def weight_lambda(k, n: int) -> int:
+    """Tetrahedral weight lambda of one monotone index of H_n*, an integer."""
     return int(lambdas(hindex(k), n)[0])
 
 
 def lambda_nodes(n: int) -> np.ndarray:
     """Tetrahedral index set: monotone members of the star set, binom(n+3,3) rows."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     rows = [
         (a, b, c)
         for a in range(n + 1)
@@ -166,8 +172,7 @@ def lambda_nodes(n: int) -> np.ndarray:
 
 def lambda_circ_nodes(n: int) -> np.ndarray:
     """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4)."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     rows = [
         (a, b, c)
         for a in range(1, n)
@@ -178,6 +183,7 @@ def lambda_circ_nodes(n: int) -> np.ndarray:
 
 
 def lambda_weights(n: int) -> np.ndarray:
+    """Integer weights lambda of the tetrahedral nodes, in ``lambda_nodes`` order."""
     return lambdas(lambda_nodes(n), n)
 
 

@@ -27,24 +27,25 @@ symmetric set, which is what the tetrahedral operators need.  ``ln`` has
 no nodes at all below degree 4 (the strictly interior tetrahedral set is
 empty) and is then the zero operator.
 
-Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with
-k' = to_reduced(k) in [-n, n]^3 and y = t[:3], so an interpolant is one
-(2n+1)^3 box of coefficients.  ``Interpolant._box`` adds a_j f_j at
-j[:3] mod 4n, takes one fftn F and sets c_k = w_k mean_sigma s_sigma
-F[to_reduced(k sigma) mod 4n]; ``transforms._eval_box`` evaluates the
-box, as it does Fourier partial sums.  ``lebesgue_interp`` needs each
-|ell_j|, so it needs the kernel sum_k w_k phi_k(p - y) at every node
-image y, per grid point p.  The images fill the node group
-Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the (4n)^3 torus grid: the
-frequencies are added into their classes of that group and one FFT of
-size 4n x n x n per point gives the kernel on all of it, in chunks of at
-most 2^20 complex elements per array.  The compact forms (``ell_tri``,
-``ell_circ``, ``phi_n_star``, ``theta_n``) and the sums ``ell_*_sum`` are
-the paper's identities and the oracles both routes are tested against.
+Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with k' =
+to_reduced(k) in [-n, n]^3 and y = t[:3], so an interpolant is, as a
+Fourier partial sum is, one ``transforms.TrigPoly``: a (2n+1)^3 box of
+coefficients.  ``Interpolant.poly`` adds a_j f_j at j[:3] mod 4n, takes
+one fftn F and sets c_k = w_k mean_sigma s_sigma F[to_reduced(k sigma)
+mod 4n].  ``lebesgue_interp`` needs each |ell_j|, so it needs the kernel
+sum_k w_k phi_k(p - y) at every node image y, per grid point p.  The
+images fill the node group Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the
+(4n)^3 torus grid: the frequencies are added into their classes of that
+group and one FFT of size 4n x n x n per point gives the kernel on all
+of it, in chunks of at most 2^20 complex elements per array.  The
+compact forms (``ell_tri``, ``ell_circ``, ``phi_n_star``, ``theta_n``)
+and the sums ``ell_*_sum`` are the paper's identities and the oracles
+both routes are tested against.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,8 +68,7 @@ from .indexsets import (
 from .kernels import phi_n_star, theta_n
 from .lattice import fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import (_CHUNK_ELEMENTS, _check_points, _eval_box, _finite, _sample,
-                         unit_cell_points)
+from .transforms import _CHUNK_ELEMENTS, TrigPoly, _finite, _sample, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -141,7 +141,7 @@ def tetra_grid(grid_per_axis: int) -> np.ndarray:
     i + j + k <= grid_per_axis; includes all faces and vertices.
     """
     g = grid_per_axis
-    if g < 1:
+    if operator.index(g) < 1:
         raise ValueError("grid must have at least 1 step per axis")
     rows = [
         (i / g, j / g, k / g)
@@ -198,8 +198,8 @@ KINDS = tuple(_KINDS)
 class Interpolant:
     """Node values of one operator; calling it evaluates the kernel sum.
 
-    The first call builds the coefficient box and keeps it, so ``values``
-    must not be mutated after construction."""
+    The first call builds ``poly`` and keeps it, so ``values`` must not be
+    mutated after construction."""
 
     kind: str
     n: int
@@ -207,18 +207,12 @@ class Interpolant:
     values: np.ndarray
 
     def __call__(self, t) -> np.ndarray:
-        """Evaluate at zero-sum points of shape (..., 4); ValueError when the
-        last axis is not 4, an entry is not finite, or |sum t| > 1e-9 *
-        max(1, max |t_i|)."""
-        t = _check_points(t)
-        scale = np.maximum(1.0, np.abs(t).max(axis=-1))
-        if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * scale):
-            raise ValueError("points must lie on the zero-sum hyperplane")
-        return _eval_box(self._box, t)
+        """Evaluate at zero-sum points (..., 4); errors as in ``TrigPoly.__call__``."""
+        return self.poly(t)
 
     @cached_property
-    def _box(self) -> np.ndarray:
-        """The (2n+1)^3 coefficient box (module docstring)."""
+    def poly(self) -> TrigPoly:
+        """The interpolant as its (2n+1)^3 coefficient box (module docstring)."""
         spec, n, size = _KINDS[self.kind], self.n, 4 * self.n
         a = self.values * lambdas(self.nodes, n) if spec.lam else self.values
         F = np.zeros(size**3, dtype=complex)
@@ -229,9 +223,7 @@ class Interpolant:
         # summed images onto themselves and keeps s_sigma
         c = sum(s * F[tuple((to_reduced(kk[:, p]) % size).T)]
                 for s, p in zip(spec.signs, PERM_TABLE))
-        box = np.zeros((2 * n + 1,) * 3, dtype=complex)
-        box[tuple((to_reduced(kk) + n).T)] = c * spec.weights(kk, n) / len(spec.signs)
-        return box
+        return TrigPoly._place(kk, c * spec.weights(kk, n) / len(spec.signs), n)
 
 
 def _build(kind: str, n: int, f) -> Interpolant:

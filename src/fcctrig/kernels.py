@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexsets import class_sizes, generate_Hn, generate_Hn_star, strata
+from .indexsets import _degree, class_sizes, generate_Hn, generate_Hn_star, strata
 
 SING_TOL = 1e-8
 
@@ -115,8 +115,7 @@ def phi_n_star(n: int, t) -> np.ndarray:
     (1/4n^3) [ (D_n + D_{n-1})/2 - edge_sum/6 - (1/2) sum_j cos(2 pi n t_j)
                - (1/3) sum_{mu<nu} cos(2 pi n (t_mu + t_nu)) ].
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n = _degree(n)
     t = np.asarray(t, dtype=float)
     body = 0.5 * (dirichlet(n, t) + dirichlet(n - 1, t))
     body = body - edge_sum(n, t) / 6.0

@@ -1,4 +1,4 @@
-"""Discrete inner products, cubature rules, Fourier partial sums.
+"""Discrete inner products, cubature rules, trigonometric polynomials.
 
 Function arguments are vectorized callables: they receive an array of
 points with shape (..., 4) (or (..., 3) for the regular-tetrahedron rule)
@@ -9,17 +9,20 @@ the lattice unit cell A[0,1)^3 in lattice coordinates.  For H-periodic
 integrands this equals the normalized integral over the dodecahedron, and
 for trigonometric polynomials it is exact once the per-axis order exceeds
 the bandwidth, so the oracle values in the tests are exact up to rounding.
+
+``TrigPoly``, a (2n+1)^3 box of coefficients, is the one form of a trig
+polynomial: Fourier partial sums, interpolants and D_n are each one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
-    _from_reduced,
     class_sizes,
     generate_Hn,
     generate_Hn_star,
@@ -29,17 +32,6 @@ from .indexsets import (
     to_reduced,
 )
 from .lattice import A_MATRIX, to_homogeneous
-
-
-def _check_points(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0 or t.shape[-1] != 4:
-        raise ValueError(
-            f"points need 4 coordinates on the last axis, got shape {t.shape}"
-        )
-    if not np.all(np.isfinite(t)):
-        raise ValueError("points must be finite")
-    return t
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -123,7 +115,7 @@ def unit_cell_points(q: int) -> np.ndarray:
     the generator matrix; it is a fundamental-cell sampling, left-closed so
     trapezoidal weights are all equal.
     """
-    if q < 2:
+    if operator.index(q) < 2:
         raise ValueError("quadrature order must be at least 2")
     r = np.arange(q, dtype=float) / q
     u = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -140,42 +132,74 @@ def continuous_inner(f, g, quad_order: int) -> complex:
     return complex((np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))).mean())
 
 
-@dataclass(frozen=True)
-class FourierCoeffs:
-    """Coefficient table of a degree-n partial sum, keyed by index tuple."""
-
-    degree: int
-    values: dict
+# complex elements in any one array that a chunk of points forms
+_CHUNK_ELEMENTS = 2**20
 
 
-def fourier_coeffs(f, n: int, quad_order: int | None = None) -> FourierCoeffs:
-    """Coefficients of f against the star frequency set via the cell grid.
+@dataclass(frozen=True, eq=False)
+class TrigPoly:
+    """sum_k c_k phi_k(t) over k in H.  At zero-sum t, phi_k(t) =
+    exp(2 pi i k'.t[:3]) with k' = to_reduced(k) in [-n, n]^3, and c_k sits
+    at box[k' + n] of a (2n+1)^3 box, kept as a read-only complex copy;
+    anything but a 3-D cube with an odd side is a ValueError."""
+
+    box: np.ndarray
+
+    def __post_init__(self):
+        box = np.array(self.box, dtype=complex)
+        if box.ndim != 3 or len(set(box.shape)) != 1 or box.shape[0] % 2 == 0:
+            raise ValueError(f"box must be a cube with an odd side, got shape {box.shape}")
+        box.flags.writeable = False
+        object.__setattr__(self, "box", box)
+
+    @classmethod
+    def _place(cls, kk: np.ndarray, c, n: int) -> TrigPoly:
+        """Degree n, coefficients c at the rows kk of H_n* and 0 elsewhere."""
+        box = np.zeros((2 * n + 1,) * 3, dtype=complex)
+        box[tuple((to_reduced(kk) + n).T)] = c
+        return cls(box)
+
+    @property
+    def degree(self) -> int:
+        return len(self.box) // 2
+
+    def __call__(self, t) -> np.ndarray:
+        """Evaluate at zero-sum points of shape (..., 4); ValueError when the
+        last axis is not 4, an entry is not finite, or |sum t| > 1e-9 *
+        max(1, max |t_i|).  The box is contracted one axis at a time, in
+        chunks that cap every array at 2^20 elements."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0 or t.shape[-1] != 4:
+            raise ValueError(f"points need 4 coordinates on the last axis, got shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("points must be finite")
+        if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * np.maximum(1.0, np.abs(t).max(axis=-1))):
+            raise ValueError("points must lie on the zero-sum hyperplane")
+        box, m = self.box, len(self.box)
+        y = t.reshape(-1, 4)[:, :3] % 1.0
+        freq = 2j * np.pi * np.arange(-(m // 2), m // 2 + 1)
+        rows = max(1, _CHUNK_ELEMENTS // (m * m))
+        out = np.empty(len(y), dtype=complex)
+        for i in range(0, len(y), rows):
+            e = np.exp(y[i : i + rows, :, None] * freq)  # (p, 3, m)
+            g = (e[:, 0] @ box.reshape(m, m * m)).reshape(-1, m, m)
+            g = np.einsum("pbc,pb->pc", g, e[:, 1])
+            out[i : i + rows] = np.einsum("pc,pc->p", g, e[:, 2])
+        return out.reshape(t.shape[:-1])
+
+
+def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
+    """Degree-n Fourier partial sum of f on the star frequency set.
 
     One FFT of f on the q^3 grid (t[:3] = u / q), read at to_reduced(k) mod
     q; frequencies congruent mod q alias when q < 2n + 1.  f is sampled
     with ``_sample``, as the interpolant builders sample it.
     """
-    q = 4 * n + 4 if quad_order is None else quad_order
     kk = generate_Hn_star(n)
+    q = 4 * n + 4 if quad_order is None else quad_order
     pts = unit_cell_points(q)
     fv = _sample(f, pts, f"the {q}^3 cell grid", pts, "value of f").reshape(q, q, q)
-    coeffs = np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3
-    return FourierCoeffs(n, {tuple(k): complex(c) for k, c in zip(kk.tolist(), coeffs)})
-
-
-def partial_sum(coeffs: FourierCoeffs, t) -> np.ndarray:
-    """Evaluate sum c_k phi_k(t) for a table keyed by indices in H at points
-    (..., 4), zero-sum or not: sum k = 0 on H, so t and t - mean(t) give the
-    same value.  ValueError for bad points as in ``Interpolant``."""
-    t = _check_points(t)
-    kk = np.array(list(coeffs.values), dtype=np.int64).reshape(-1, 4)
-    kp = to_reduced(kk)
-    if not np.array_equal(_from_reduced(kp), kk):
-        raise ValueError("coefficient keys must be frequency indices in H")
-    h = int(np.abs(kp).max(initial=0))
-    box = np.zeros((2 * h + 1,) * 3, dtype=complex)
-    box[tuple((kp + h).T)] = list(coeffs.values.values())
-    return _eval_box(box, t - t.mean(axis=-1, keepdims=True))
+    return TrigPoly._place(kk, np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3, n)
 
 
 def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
@@ -193,12 +217,10 @@ def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
     """
     if grid_per_axis < 2:
         raise ValueError(f"grid must have at least 2 points per axis, got {grid_per_axis}")
-    if quad_order < 2:
+    if operator.index(quad_order) < 2:
         raise ValueError("quadrature order must be at least 2")
     kk = generate_Hn_star(n)  # raises for n < 1 before the box is sized
-    d, q = 2 * n + 1, quad_order
-    box = np.zeros((d, d, d), dtype=complex)
-    box[tuple((to_reduced(kk) + n).T)] = 1.0
+    d, q, box = 2 * n + 1, quad_order, TrigPoly._place(kk, 1.0, n).box
     freq = 2j * np.pi * np.arange(-n, n + 1)
     u = np.arange(q) / q
 
@@ -212,24 +234,3 @@ def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
     t = unit_cell_points(grid_per_axis)
     rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 3)
     return max(map_chunks(chunk, [t[i : i + rows] for i in range(0, len(t), rows)]))
-
-
-# complex elements in any one array that a chunk of points forms
-_CHUNK_ELEMENTS = 2**20
-
-
-def _eval_box(box: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_k' box[k' + h] exp(2 pi i k'.t[:3]) over k' in [-h, h]^3 at zero-sum
-    points t (..., 4): three rows of 2h + 1 exps per point contract the box
-    one axis at a time, in chunks that cap every array at 2^20 elements."""
-    m = len(box)
-    y = t.reshape(-1, 4)[:, :3] % 1.0
-    freq = 2j * np.pi * np.arange(-(m // 2), m // 2 + 1)
-    rows = max(1, _CHUNK_ELEMENTS // (m * m))
-    out = np.empty(len(y), dtype=complex)
-    for i in range(0, len(y), rows):
-        e = np.exp(y[i : i + rows, :, None] * freq)  # (p, 3, m)
-        g = (e[:, 0] @ box.reshape(m, m * m)).reshape(-1, m, m)
-        g = np.einsum("pbc,pb->pc", g, e[:, 1])
-        out[i : i + rows] = np.einsum("pc,pc->p", g, e[:, 2])
-    return out.reshape(t.shape[:-1])

@@ -4,6 +4,8 @@
 refactor that moves or deletes one would only surface in a traced bench
 run.  This resolves them the way ``Tracer.install`` does: a plain name with
 ``getattr`` on its module, ``Class.method`` in the class's own ``__dict__``.
+It also feeds a built interpolant to the tracer's size counter, which reads
+the interpolant's ``kind`` and ``nodes``.
 """
 
 import importlib
@@ -11,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from fcctrig.interpolation import BUILDERS, tetra_grid
 
 SPANS_PY = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -39,3 +43,17 @@ def test_span_target_resolves(modname, attr, group):
     else:
         target = getattr(mod, attr, None)
     assert callable(target), f"fcctrig.{modname}.{attr} does not resolve"
+
+
+@pytest.mark.parametrize("kind", ["instar", "lnstar"])
+def test_interpolant_has_what_the_eval_counter_reads(kind):
+    # Tracer._sizes reads .kind and .nodes of the interpolant whose
+    # __call__ it wraps; a refactor that drops either fails here, not only
+    # in a traced bench run
+    interp = BUILDERS[kind](lambda t: t[..., 0], 2)
+    assert interp.kind == kind
+    pts = tetra_grid(2)
+    tracer = SPANS.Tracer()
+    tracer._sizes("interpolation.eval", (interp, pts), interp(pts))
+    images = 24 if kind == "lnstar" else 1
+    assert tracer.counts["interpolation.eval.pairs"] == len(pts) * images * len(interp.nodes)

@@ -150,6 +150,33 @@ def test_lambda_circ_rejects_degree_below_one(n):
         lambda_circ_nodes(n)
 
 
+@pytest.mark.parametrize(
+    "gen", [generate_Hn, generate_Hn_star, generate_Hn_circ, lambda_nodes, lambda_circ_nodes]
+)
+def test_generators_take_integer_degrees_only(gen):
+    # 2.5 used to give 65 rows of generate_Hn and 84 of generate_Hn_star
+    for n in (2.5, 3.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            gen(n)
+    assert np.array_equal(gen(np.int64(4)), gen(4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: weight_c((0, 0, 0, 0), n),
+        lambda n: weight_lambda((0, 0, 0, 0), n),
+        lambda n: stratum_counts(n),
+        lambda n: generate_Lambda_n(n),
+    ],
+    ids=["weight_c", "weight_lambda", "stratum_counts", "generate_Lambda_n"],
+)
+def test_weights_take_integer_degrees_only(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(2.5)
+    assert call(np.int64(3)) == call(3)
+
+
 @pytest.mark.parametrize("n", NS)
 def test_lambda_nodes_are_monotone_star_representatives(n):
     star = {tuple(int(v) for v in row) for row in generate_Hn_star(n)}

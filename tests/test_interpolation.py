@@ -11,6 +11,8 @@ from fcctrig.indexsets import (
     lambda_nodes,
 )
 from fcctrig.interpolation import (
+    BUILDERS,
+    KINDS,
     Interpolant,
     dodeca_grid,
     ell_circ,
@@ -29,7 +31,7 @@ from fcctrig.interpolation import (
 from fcctrig.kernels import dirichlet, phi_n_fund, phi_n_star
 from fcctrig.lattice import in_omega_H, phi
 from fcctrig.symmetry import PERM_SIGNS, PERM_TABLE, project_minus
-from fcctrig.transforms import fourier_coeffs, partial_sum
+from fcctrig.transforms import fourier_coeffs
 from fcctrig.trigbasis import tc, ts
 
 
@@ -291,16 +293,18 @@ def test_interp_In_star_node_behavior(n):
     assert np.abs(got - want).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_interp_In_star_output_lives_in_symmetric_space(n):
-    # the output is a polynomial with frequencies in the symmetric set, so
-    # the degree-n partial sum reproduces it exactly
-    I = interp_In_star(smooth_probe, n)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolant_output_lives_in_symmetric_space(kind, n):
+    # every output is a polynomial with frequencies in the symmetric set, so
+    # the degree-n partial sum reproduces it: box for box, and so at points
+    I = BUILDERS[kind](smooth_probe, n)
     c = fourier_coeffs(I, n)
-    assert set(c.values) == {tuple(int(v) for v in k) for k in generate_Hn_star(n)}
+    assert c.degree == I.poly.degree == n
+    assert np.abs(c.box - I.poly.box).max() < 1e-14
     rng = np.random.default_rng(45)
     t = rand_t(rng, 20)
-    assert np.abs(partial_sum(c, t) - I(t)).max() < 1e-8
+    assert np.abs(c(t) - I(t)).max() < 1e-8
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -440,6 +444,34 @@ def test_from_node_values_rejects_non_finite_values(bad):
     data[key] = bad
     with pytest.raises(ValueError, match=rf"node value at \({key[0]}, .* is not finite"):
         from_node_values("lnstar", 2, data)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tetra_grid(3.5),
+        lambda: dodeca_grid(3.5),
+        lambda: interp_Ln_star(smooth_probe, 2.5),
+        lambda: node_set("ln", 2.5),
+        lambda: lebesgue_interp(2, "in", 3.5),
+        lambda: lebesgue_interp(2, "lnstar", 3.5),
+        lambda: lebesgue_interp(2.5, "instar", 4),
+    ],
+    ids=["tetra_grid", "dodeca_grid", "interp_Ln_star", "node_set", "lebesgue_in",
+         "lebesgue_lnstar", "lebesgue_degree"],
+)
+def test_non_integer_degree_or_grid_is_rejected(call):
+    # lebesgue_interp(2, "in", 3.5) used to return 4.1511 from a non-uniform grid
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_numpy_integer_degree_and_grid_give_the_same_numbers():
+    i = np.int64
+    assert np.array_equal(tetra_grid(i(4)), tetra_grid(4))
+    assert lebesgue_interp(i(2), "lnstar", i(4)) == lebesgue_interp(2, "lnstar", 4)
+    t = tetra_grid(3)
+    assert np.array_equal(interp_Ln_star(smooth_probe, i(3))(t), interp_Ln_star(smooth_probe, 3)(t))
 
 
 def test_build_takes_a_scalar_at_every_node():

@@ -20,7 +20,6 @@ from fcctrig.transforms import (
     cubature_dodeca,
     cubature_tetra,
     cubature_tetra_regular,
-    FourierCoeffs,
     fourier_coeffs,
     inner_n,
     inner_n_star,
@@ -28,7 +27,7 @@ from fcctrig.transforms import (
     inner_tetra_interior,
     lebesgue_Sn,
     one,
-    partial_sum,
+    TrigPoly,
     unit_cell_points,
 )
 from fcctrig.trigbasis import tc, tc_orthogonality_value, ts
@@ -134,7 +133,7 @@ def test_partial_sum_is_kernel_convolution():
     t = rng.uniform(-1.0, 1.0, size=(5, 4))
     t -= t.mean(axis=1, keepdims=True)
     for tv in t:
-        direct = partial_sum(coeffs, tv)
+        direct = coeffs(tv)
         conv = continuous_inner(f, lambda s: dirichlet(n, tv - np.asarray(s)), q)
         assert abs(direct - conv) < 1e-9
 
@@ -206,8 +205,8 @@ def test_inner_tetra_interior_rejects_degree_below_one(n):
 def test_fourier_coeffs_takes_a_scalar_everywhere():
     # a scalar used to fail with "cannot reshape array of size 1"
     c = fourier_coeffs(lambda t: 2.5, 2)
-    assert c.values == fourier_coeffs(lambda t: np.full(t.shape[:-1], 2.5), 2).values
-    assert c.values[(0, 0, 0, 0)] == pytest.approx(2.5, abs=1e-14)
+    assert np.array_equal(c.box, fourier_coeffs(lambda t: np.full(t.shape[:-1], 2.5), 2).box)
+    assert c.box[2, 2, 2] == pytest.approx(2.5, abs=1e-14)
 
 
 def test_fourier_coeffs_rejects_values_of_the_wrong_shape():
@@ -247,6 +246,39 @@ def test_cubature_tetra_regular_matches_homogeneous(n):
     a = cubature_tetra_regular(f3, n)
     b = cubature_tetra(f4, n)
     assert abs(a - b) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unit_cell_points(3.5),
+        lambda: continuous_inner(one, one, 3.5),
+        lambda: cubature_dodeca(one, 2.5),
+        lambda: cubature_tetra(one, 2.5),
+        lambda: fourier_coeffs(one, 2.5),
+        lambda: fourier_coeffs(one, 2, quad_order=6.5),
+        lambda: lebesgue_Sn(2.5, 3, 8),
+        lambda: lebesgue_Sn(2, 3.5, 8),
+        lambda: lebesgue_Sn(2, 3, 8.5),
+    ],
+    ids=["unit_cell_points", "continuous_inner", "cubature_dodeca", "cubature_tetra",
+         "fourier_coeffs_n", "fourier_coeffs_q", "lebesgue_Sn_n", "lebesgue_Sn_grid",
+         "lebesgue_Sn_q"],
+)
+def test_non_integer_degree_or_grid_is_rejected(call):
+    # unit_cell_points(3.5) used to be a non-uniform 4^3 grid, so
+    # lebesgue_Sn(2, 3.5, 8) returned 4.2858; cubature_dodeca(one, 2.5)
+    # reported an index outside the closed node set
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_numpy_integer_degree_and_grid_give_the_same_numbers():
+    i = np.int64
+    assert np.array_equal(unit_cell_points(i(5)), unit_cell_points(5))
+    assert cubature_dodeca(one, i(3)) == cubature_dodeca(one, 3)
+    assert lebesgue_Sn(i(2), i(3), i(8)) == lebesgue_Sn(2, 3, 8)
+    assert np.array_equal(fourier_coeffs(one, i(2), i(6)).box, fourier_coeffs(one, 2, 6).box)
 
 
 def test_unit_cell_points_shape_and_zero_sum():
@@ -290,35 +322,43 @@ def test_fourier_coeffs_recover_polynomial(n):
 
     got = fourier_coeffs(f, n)
     assert got.degree == n
-    assert set(got.values) == set(coef)
-    err = max(abs(got.values[k] - coef[k]) for k in coef)
-    assert err < 1e-10
+    at = tuple((to_reduced(kk) + n).T)
+    c = np.array(list(coef.values()))
+    assert np.abs(got.box[at] - c).max() < 1e-10
+    # and nothing outside the star set
+    outside = np.ones(got.box.shape, dtype=bool)
+    outside[at] = False
+    assert not got.box[outside].any()
     # and the partial sum rebuilds the function
     t = rng.uniform(-0.5, 0.5, size=(40, 4))
     t -= t.mean(axis=1, keepdims=True)
-    assert np.abs(partial_sum(got, t) - f(t)).max() < 1e-9
+    assert np.abs(got(t) - f(t)).max() < 1e-9
     # below 2n + 1 points per axis, frequencies congruent mod q alias: each
     # coefficient is the sum over its class of to_reduced(k) mod q
     q = 2 * n
-    aliased = fourier_coeffs(f, n, quad_order=q)
+    aliased = fourier_coeffs(f, n, quad_order=q).box[at]
     res = to_reduced(kk) % q
-    c = np.array(list(coef.values()))
-    for k, r in zip(coef, res):
+    for i, r in enumerate(res):
         want = c[(res == r).all(axis=1)].sum()
-        assert abs(aliased.values[k] - want) < 1e-10
+        assert abs(aliased[i] - want) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_partial_sum_matches_dense_exponential_sum(n):
-    # off-hyperplane points are evaluated through their projection, which
-    # leaves every phi_k unchanged because sum k = 0 on H
+    # a polynomial is evaluated at zero-sum points only; off-hyperplane
+    # points are rejected, and their projections give the dense sum
     rng = np.random.default_rng(60 + n)
     kk = generate_Hn_star(n)
     c = rng.standard_normal(len(kk)) + 1j * rng.standard_normal(len(kk))
-    coeffs = FourierCoeffs(n, {tuple(k): ck for k, ck in zip(kk.tolist(), c)})
+    box = np.zeros((2 * n + 1,) * 3, dtype=complex)
+    box[tuple((to_reduced(kk) + n).T)] = c
+    poly = TrigPoly(box)
     t = rng.uniform(-2.0, 2.0, size=(3, 7, 4))
+    with pytest.raises(ValueError, match="zero-sum"):
+        poly(t)
+    t -= t.mean(axis=-1, keepdims=True)
     want = np.exp(0.5j * np.pi * (t @ kk.T)) @ c
-    got = partial_sum(coeffs, t)
+    got = poly(t)
     assert got.shape == (3, 7)
     assert np.abs(got - want).max() < 1e-12 * np.abs(c).sum()
 
@@ -326,7 +366,7 @@ def test_partial_sum_matches_dense_exponential_sum(n):
 def test_partial_sum_rejects_wrong_last_axis():
     c = fourier_coeffs(one, 1)
     with pytest.raises(ValueError, match="4 coordinates"):
-        partial_sum(c, np.zeros((5, 3)))
+        c(np.zeros((5, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -335,27 +375,38 @@ def test_partial_sum_rejects_non_finite(bad):
     t = np.zeros((3, 4))
     t[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
-        partial_sum(c, t)
+        c(t)
 
 
-def test_partial_sum_rejects_keys_outside_H():
-    c = FourierCoeffs(1, {(1, 0, 0, -1): 1.0})
-    with pytest.raises(ValueError, match="frequency indices"):
-        partial_sum(c, np.zeros(4))
+def test_trig_poly_rejects_a_malformed_box():
+    # every cell of an odd cube is a frequency in H, so a malformed box is
+    # the only way to give coefficients that are not a polynomial of H
+    for shape in [(), (3,), (3, 3), (3, 3, 3, 1), (4, 4, 4), (3, 3, 5), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="cube with an odd side"):
+            TrigPoly(np.zeros(shape))
+
+
+def test_trig_poly_keeps_a_read_only_copy():
+    box = np.zeros((3, 3, 3))
+    poly = TrigPoly(box)
+    box[1, 1, 1] = 5.0
+    assert poly.box.dtype == complex
+    assert poly.degree == 1
+    assert poly(np.zeros(4)) == 0
+    with pytest.raises(ValueError, match="read-only"):
+        poly.box[1, 1, 1] = 1.0
 
 
 def test_partial_sum_projection_idempotent():
     # S_n of a degree-n polynomial is the polynomial itself
-    rng = np.random.default_rng(36)
     n = 2
 
     def f(t):
         return np.exp(np.sin(2.0 * np.pi * t[..., 0]) + np.cos(2.0 * np.pi * t[..., 3]))
 
     c1 = fourier_coeffs(f, n)
-    c2 = fourier_coeffs(lambda t: partial_sum(c1, t), n)
-    err = max(abs(c1.values[k] - c2.values[k]) for k in c1.values)
-    assert err < 1e-10
+    c2 = fourier_coeffs(c1, n)
+    assert np.abs(c1.box - c2.box).max() < 1e-10
 
 
 def test_lebesgue_Sn_small():
@@ -391,9 +442,8 @@ def test_lebesgue_Sn_rejects_degree_below_one(n):
         lambda: lebesgue_Sn(2, grid_per_axis=3, quad_order=64),
         lambda: lebesgue_Sn(16, grid_per_axis=9, quad_order=8),
         lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 5),
-        lambda: partial_sum(
-            fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 8),
-            dodeca_grid(20),
+        lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 8)(
+            dodeca_grid(20)
         ),
     ],
     ids=["lebesgue_Sn", "lebesgue_Sn_wide_box", "fourier_coeffs", "partial_sum"],
