@@ -20,23 +20,26 @@ import numpy as np
 from .lattice import homo_point, hindex, in_closed_omega_H
 from .symmetry import PERM_TABLE
 
+# absolute tolerance of the float routines' equality tests t_i - t_j = 1
+CLASSIFY_TOL = 1e-9
 
-def classify(t, tol: float = 1e-9):
+
+def classify(t):
     """Stratum label (I, J) of a point of the closed domain.
 
     I = {i : t_i - t_j = 1 for some j}, J = {j : t_i - t_j = 1 for some i},
     both empty exactly when t is interior.  Equality is tested with abs
-    tolerance tol.
+    tolerance CLASSIFY_TOL.
     """
     t = homo_point(t)
     if t.shape != (4,):
         raise ValueError("classify expects a single point")
-    if not in_closed_omega_H(t, tol=tol):
+    if not in_closed_omega_H(t, tol=CLASSIFY_TOL):
         raise ValueError("point lies outside the closed fundamental domain")
     I, J = set(), set()
     for i in range(4):
         for j in range(4):
-            if i != j and abs(t[i] - t[j] - 1.0) <= tol:
+            if i != j and abs(t[i] - t[j] - 1.0) <= CLASSIFY_TOL:
                 I.add(i + 1)
                 J.add(j + 1)
     return frozenset(I), frozenset(J)
@@ -72,14 +75,14 @@ def _moving_only(labels) -> np.ndarray:
     return PERM_TABLE[(PERM_TABLE[:, fixed] == fixed).all(axis=1)]
 
 
-def congruent_orbit(t, tol: float = 1e-9):
+def congruent_orbit(t):
     """All distinct boundary partners of t congruent to it mod the lattice.
 
     Computed by permuting the slots named in I and J; interior points give
     [t].  The count equals binom(|I|+|J|, |I|) on the open stratum.
     """
     t = homo_point(t)
-    I, J = classify(t, tol=tol)
+    I, J = classify(t)
     out = []
     for p in _moving_only(I | J):
         s = t[p]

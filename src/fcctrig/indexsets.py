@@ -1,9 +1,8 @@
 """Frequency and node index sets with their strata and weights.
 
-All sets are enumerated through the reduced coordinates k'_i = (k_i - k_4)/4,
-which identify the frequency set with Z^3; membership conditions become
-small box constraints there, so generation is exact integer arithmetic with
-no scanning of a large bounding region.
+Every set is the rows of one box of reduced coordinates k'_i = (k_i - k_4)/4
+(``lattice._box``) that pass the paper's inequalities on the differences
+k_i - k_j (``lattice._diffs``), or monotonicity for the tetrahedral sets.
 
 Strata and weights of whole node arrays are read off one routine,
 boundary.boundary_slots.  The weights are exact: the symmetric-rule weight
@@ -21,7 +20,7 @@ from math import comb
 import numpy as np
 
 from .boundary import boundary_slots
-from .lattice import hindex
+from .lattice import _box, _diffs, hindex
 from .symmetry import PERM_TABLE
 
 TETRA_WEIGHTS = {"interior": 24, "face": 12, "edge1": 6, "edge2": 4, "vertex": 1}
@@ -52,12 +51,6 @@ def to_reduced(k) -> np.ndarray:
     return (k[..., :3] - k[..., 3:]) // 4
 
 
-def _reduced_box(lo: int, hi: int) -> np.ndarray:
-    r = np.arange(lo, hi + 1, dtype=np.int64)
-    g = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
-    return g.reshape(-1, 3)
-
-
 def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
     order = np.lexsort(rows.T[::-1])
     return rows[order]
@@ -66,32 +59,23 @@ def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
     n = _degree(n)
-    kp = _reduced_box(-n + 1, n)
-    keep = np.ones(len(kp), dtype=bool)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = kp[:, i] - kp[:, j]
-            keep &= (d > -n) & (d <= n)
-    return _lexsort_rows(_from_reduced(kp[keep]))
+    kk = _from_reduced(_box(-n + 1, n))
+    d = _diffs(kk)
+    return _lexsort_rows(kk[((d > -4 * n) & (d <= 4 * n)).all(axis=1)])
 
 
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
     n = _degree(n)
-    kp = _reduced_box(-n, n)
-    keep = np.ones(len(kp), dtype=bool)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            keep &= np.abs(kp[:, i] - kp[:, j]) <= n
-    return _lexsort_rows(_from_reduced(kp[keep]))
+    kk = _from_reduced(_box(-n, n))
+    return _lexsort_rows(kk[(np.abs(_diffs(kk)) <= 4 * n).all(axis=1)])
 
 
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
     n = _degree(n)
-    if n == 1:
-        return np.zeros((1, 4), dtype=np.int64)
-    return generate_Hn_star(n - 1)
+    kk = _from_reduced(_box(1 - n, n - 1))
+    return _lexsort_rows(kk[(np.abs(_diffs(kk)) < 4 * n).all(axis=1)])
 
 
 def strata(kk, n: int) -> np.ndarray:
@@ -160,26 +144,16 @@ def weight_lambda(k, n: int) -> int:
 
 def lambda_nodes(n: int) -> np.ndarray:
     """Tetrahedral index set: monotone members of the star set, binom(n+3,3) rows."""
-    n = _degree(n)
-    rows = [
-        (a, b, c)
-        for a in range(n + 1)
-        for b in range(a + 1)
-        for c in range(b + 1)
-    ]
-    return _from_reduced(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    kp = _box(0, _degree(n))
+    a, b, c = kp.T
+    return _from_reduced(kp[(a >= b) & (b >= c)])
 
 
 def lambda_circ_nodes(n: int) -> np.ndarray:
     """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4)."""
-    n = _degree(n)
-    rows = [
-        (a, b, c)
-        for a in range(1, n)
-        for b in range(1, a)
-        for c in range(1, b)
-    ]
-    return _from_reduced(np.array(rows, dtype=np.int64).reshape(-1, 3))
+    kp = _box(1, _degree(n) - 1)
+    a, b, c = kp.T
+    return _from_reduced(kp[(a > b) & (b > c)])
 
 
 def lambda_weights(n: int) -> np.ndarray:

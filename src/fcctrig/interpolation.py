@@ -66,7 +66,7 @@ from .indexsets import (
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
-from .lattice import fold_to_omega_H, hindex
+from .lattice import _box, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .transforms import _CHUNK_ELEMENTS, TrigPoly, _finite, _sample, unit_cell_points
 from .trigbasis import tc, ts
@@ -143,13 +143,8 @@ def tetra_grid(grid_per_axis: int) -> np.ndarray:
     g = grid_per_axis
     if operator.index(g) < 1:
         raise ValueError("grid must have at least 1 step per axis")
-    rows = [
-        (i / g, j / g, k / g)
-        for i in range(g + 1)
-        for j in range(g + 1 - i)
-        for k in range(g + 1 - i - j)
-    ]
-    u = np.array(rows)
+    u = _box(0, g)
+    u = u[u.sum(axis=1) <= g] / g
     t4 = -(u[:, 0] + 2.0 * u[:, 1] + 3.0 * u[:, 2]) / 4.0
     t1 = t4 + u.sum(axis=1)
     t2 = t4 + u[:, 1] + u[:, 2]
@@ -194,12 +189,12 @@ KINDS = tuple(_KINDS)
 # interpolants
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpolant:
     """Node values of one operator; calling it evaluates the kernel sum.
 
     The first call builds ``poly`` and keeps it, so ``values`` must not be
-    mutated after construction."""
+    mutated after construction.  == and hash are by identity."""
 
     kind: str
     n: int
@@ -229,8 +224,6 @@ class Interpolant:
 def _build(kind: str, n: int, f) -> Interpolant:
     """Sample f at the nodes with ``transforms._sample``."""
     nodes = node_set(kind, n)
-    if not len(nodes):
-        return Interpolant(kind=kind, n=n, nodes=nodes, values=np.zeros(0, complex))
     values = _sample(f, nodes / (4.0 * n), f"the {kind!r} nodes of degree {n}", nodes)
     return Interpolant(kind=kind, n=n, nodes=nodes, values=values)
 

@@ -20,9 +20,12 @@ where the naive form does.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .indexsets import _degree, class_sizes, generate_Hn, generate_Hn_star, strata
+from .lattice import _PAIRS
 
 SING_TOL = 1e-8
 
@@ -41,15 +44,15 @@ def sine_ratio(m: int, x) -> np.ndarray:
 
 
 def K_n(n: int, t) -> np.ndarray:
-    """Geometric kernel sum_{j=0}^{n} exp(2*pi*i*j*t) in product form."""
+    """Geometric kernel sum_{j=0}^{n} exp(2*pi*i*j*t) in product form, integer n."""
     t = np.asarray(t, dtype=float)
-    return np.exp(1j * np.pi * n * t) * sine_ratio(n + 1, t)
+    return np.exp(1j * np.pi * n * t) * sine_ratio(operator.index(n) + 1, t)
 
 
 def theta_n(n: int, t) -> np.ndarray:
-    """Product of the four coordinate sine ratios; theta_0 vanishes identically."""
+    """Product of the four coordinate sine ratios, integer n; theta_0 vanishes."""
     t = np.asarray(t, dtype=float)
-    return np.prod(sine_ratio(n, t), axis=-1)
+    return np.prod(sine_ratio(operator.index(n), t), axis=-1)
 
 
 def dirichlet(n: int, t) -> np.ndarray:
@@ -119,13 +122,8 @@ def phi_n_star(n: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     body = 0.5 * (dirichlet(n, t) + dirichlet(n - 1, t))
     body = body - edge_sum(n, t) / 6.0
-    c2 = 0.0
-    for j in range(4):
-        c2 = c2 + np.cos(2.0 * np.pi * n * t[..., j])
-    c3 = 0.0
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            c3 = c3 + np.cos(2.0 * np.pi * n * (t[..., mu] + t[..., nu]))
+    c2 = np.cos(2.0 * np.pi * n * t).sum(axis=-1)
+    c3 = np.cos(2.0 * np.pi * n * (t[..., _PAIRS[0]] + t[..., _PAIRS[1]])).sum(axis=-1)
     body = body - 0.5 * c2 - c3 / 3.0
     return body / (4 * n**3)
 

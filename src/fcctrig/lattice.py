@@ -11,6 +11,10 @@ frequency k is phi(k, t) = exp(i*pi/2 * k.t).
 
 The fundamental domain Omega_H is the rhombic dodecahedron in homogeneous
 coordinates, half open: -1 < t_i - t_j <= 1 for all i < j.
+
+Every node and frequency set, evaluation grid and fold shift list is read
+off ``_box(lo, hi)``, the one enumeration of integer triples, and every such
+difference test, Omega_H's and the node sets', goes through ``_diffs(x)``.
 """
 
 from __future__ import annotations
@@ -82,6 +86,20 @@ def from_homogeneous(t) -> np.ndarray:
     return t @ U_MATRIX
 
 
+def _box(lo: int, hi: int) -> np.ndarray:
+    """The int64 rows of [lo, hi]^3 in lexicographic order, (hi - lo + 1)^3 of them."""
+    return np.indices((hi - lo + 1,) * 3, dtype=np.int64).reshape(3, -1).T + lo
+
+
+# the six pairs i < j of the four homogeneous slots, in lexicographic order
+_PAIRS = np.triu_indices(4, 1)
+
+
+def _diffs(x: np.ndarray) -> np.ndarray:
+    """x_i - x_j over the six pairs i < j of the last axis, shape (..., 6)."""
+    return x[..., _PAIRS[0]] - x[..., _PAIRS[1]]
+
+
 def in_omega_H(t) -> np.ndarray:
     """Membership in the half-open fundamental domain.
 
@@ -90,32 +108,18 @@ def in_omega_H(t) -> np.ndarray:
     tolerance should use in_closed_omega_H.  Node membership decisions must
     be made on integer indices, never on the floats produced here.
     """
-    t = np.asarray(t, dtype=float)
-    ok = np.ones(t.shape[:-1], dtype=bool)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = t[..., i] - t[..., j]
-            ok &= (d > -1.0) & (d <= 1.0)
-    return ok
+    d = _diffs(np.asarray(t, dtype=float))
+    return ((d > -1.0) & (d <= 1.0)).all(axis=-1)
 
 
 def in_closed_omega_H(t, tol: float = 1e-12) -> np.ndarray:
     """Membership in the closure, |t_i - t_j| <= 1 within tol."""
-    t = np.asarray(t, dtype=float)
-    ok = np.ones(t.shape[:-1], dtype=bool)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = np.abs(t[..., i] - t[..., j])
-            ok &= d <= 1.0 + tol
-    return ok
+    return (np.abs(_diffs(np.asarray(t, dtype=float))) <= 1.0 + tol).all(axis=-1)
 
 
 # Offsets v in {-1,0}^3: the reduction below first lands in A[0,1)^3, and
 # Omega_H is covered by that cell's neighbors with nonpositive offsets.
-_FOLD_SHIFTS = np.array(
-    [[i, j, k] for i in (-1, 0) for j in (-1, 0) for k in (-1, 0)],
-    dtype=np.int64,
-)
+_FOLD_SHIFTS = _box(-1, 0)
 
 
 def fold_to_omega_H(t) -> np.ndarray:

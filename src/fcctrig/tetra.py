@@ -21,6 +21,9 @@ from .indexsets import _from_reduced, to_reduced
 from .interpolation import interp_Ln_star
 from .lattice import hindex
 
+# slack of the closed membership tests, for points built by float arithmetic
+TETRA_TOL = 1e-12
+
 
 def index_h_to_regular(j) -> tuple:
     """Reduced index (j_i - j_4)/4, i = 1..3; exact on valid frequency indices."""
@@ -50,28 +53,28 @@ def point_regular_to_h(x) -> np.ndarray:
     return np.concatenate([x + t4, t4], axis=-1)
 
 
-def in_tetra_H(t, tol: float = 1e-12) -> np.ndarray:
+def in_tetra_H(t) -> np.ndarray:
     """Closed homogeneous simplex membership."""
     t = np.asarray(t, dtype=float)
     g1 = t[..., 0] - t[..., 1]
     g2 = t[..., 1] - t[..., 2]
     g3 = t[..., 2] - t[..., 3]
     top = t[..., 0] - t[..., 3]
-    return (g1 >= -tol) & (g2 >= -tol) & (g3 >= -tol) & (top <= 1.0 + tol)
+    return (g1 >= -TETRA_TOL) & (g2 >= -TETRA_TOL) & (g3 >= -TETRA_TOL) & (top <= 1.0 + TETRA_TOL)
 
 
-def in_tetra_regular(x, tol: float = 1e-12) -> np.ndarray:
+def in_tetra_regular(x) -> np.ndarray:
     """Closed corner-simplex membership, 0 <= x3 <= x2 <= x1 <= 1."""
     x = np.asarray(x, dtype=float)
     return (
-        (x[..., 2] >= -tol)
-        & (x[..., 1] >= x[..., 2] - tol)
-        & (x[..., 0] >= x[..., 1] - tol)
-        & (x[..., 0] <= 1.0 + tol)
+        (x[..., 2] >= -TETRA_TOL)
+        & (x[..., 1] >= x[..., 2] - TETRA_TOL)
+        & (x[..., 0] >= x[..., 1] - TETRA_TOL)
+        & (x[..., 0] <= 1.0 + TETRA_TOL)
     )
 
 
-def in_tetra_cartesian(x, tol: float = 1e-12) -> np.ndarray:
+def in_tetra_cartesian(x) -> np.ndarray:
     """Membership in the Cartesian image: 0 <= x3 +- x2 <= 1, 0 <= x2 +- x1 <= 1."""
     x = np.asarray(x, dtype=float)
     ok = np.ones(x.shape[:-1], dtype=bool)
@@ -81,7 +84,7 @@ def in_tetra_cartesian(x, tol: float = 1e-12) -> np.ndarray:
         x[..., 1] - x[..., 0],
         x[..., 1] + x[..., 0],
     ):
-        ok &= (expr >= -tol) & (expr <= 1.0 + tol)
+        ok &= (expr >= -TETRA_TOL) & (expr <= 1.0 + TETRA_TOL)
     return ok
 
 

@@ -31,7 +31,7 @@ from .indexsets import (
     lambda_weights,
     to_reduced,
 )
-from .lattice import A_MATRIX, to_homogeneous
+from .lattice import A_MATRIX, _box, to_homogeneous
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -42,16 +42,19 @@ def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.
     return values
 
 
-def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what: str = "node value"):
-    """f at the N points pts as N complex values.  A scalar is taken at every
-    point; any other shape than (N,) is a ValueError naming where, as is a
-    value that is not finite, named by its row of at."""
-    values = np.asarray(f(pts), dtype=complex)
+def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what="node value", name="f"):
+    """The function name, f, at the N points pts, in f's dtype but at least
+    float (complex for an object array, e.g. of Fractions).  A scalar is taken
+    at every point; another shape than (N,) is a ValueError naming where, as is
+    a value that is not finite, named by what and its row of at."""
+    values = np.asarray(f(pts))
+    dtype = np.result_type(values.dtype, float)
+    values = values.astype(dtype if dtype.kind in "fc" else complex, copy=False)
     if values.ndim == 0:
         values = np.full(len(pts), values)
     elif values.shape != (len(pts),):
         raise ValueError(
-            f"f returned shape {values.shape} at {where}, expected ({len(pts)},) or a scalar"
+            f"{name} returned shape {values.shape} at {where}, expected ({len(pts)},) or a scalar"
         )
     return _finite(values, at, what)
 
@@ -61,9 +64,14 @@ def one(t) -> np.ndarray:
     return np.ones(np.asarray(t).shape[:-1])
 
 
+def _pair(f, g, pts: np.ndarray, where: str, at: np.ndarray):
+    """f conj(g) at the points pts, both sampled with ``_sample``."""
+    fv = _sample(f, pts, where, at, "value of f")
+    return fv * np.conj(_sample(g, pts, where, at, "value of g", name="g"))
+
+
 def _node_sum(f, g, idx: np.ndarray, n: int, w=1.0):
-    pts = idx.astype(float) / (4.0 * n)
-    return (np.asarray(f(pts)) * np.conj(np.asarray(g(pts))) * w).sum()
+    return (_pair(f, g, idx / (4.0 * n), f"the degree-{n} nodes", idx) * w).sum()
 
 
 def inner_n(f, g, n: int) -> complex:
@@ -85,8 +93,7 @@ def inner_tetra(f, g, n: int) -> complex:
 
 def inner_tetra_interior(f, g, n: int) -> complex:
     """Interior tetrahedral inner product: (6/n^3) sum over strictly interior nodes."""
-    idx = lambda_circ_nodes(n)
-    return complex(_node_sum(f, g, idx, n) * 6.0 / n**3) if len(idx) else 0j
+    return complex(_node_sum(f, g, lambda_circ_nodes(n), n) * 6.0 / n**3)
 
 
 def cubature_dodeca(f, n: int) -> complex:
@@ -103,9 +110,9 @@ def cubature_tetra(f, n: int) -> complex:
 def cubature_tetra_regular(f3, n: int) -> complex:
     """Same rule in regular-tetrahedron coordinates: nodes (k1, k2, k3)/n,
     0 <= k3 <= k2 <= k1 <= n, with the weights of the homogeneous rule."""
-    xs = to_reduced(lambda_nodes(n)).astype(float) / n
-    vals = np.asarray(f3(xs)) * lambda_weights(n).astype(float)
-    return complex(vals.sum() / (4 * n**3))
+    kp = to_reduced(lambda_nodes(n))
+    vals = _sample(f3, kp / n, f"the degree-{n} regular nodes", kp, "value of f")
+    return complex((vals * lambda_weights(n).astype(float)).sum() / (4 * n**3))
 
 
 def unit_cell_points(q: int) -> np.ndarray:
@@ -117,9 +124,7 @@ def unit_cell_points(q: int) -> np.ndarray:
     """
     if operator.index(q) < 2:
         raise ValueError("quadrature order must be at least 2")
-    r = np.arange(q, dtype=float) / q
-    u = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
-    return to_homogeneous(u @ A_MATRIX.T.astype(float))
+    return to_homogeneous(_box(0, q - 1) / q @ A_MATRIX.T.astype(float))
 
 
 def continuous_inner(f, g, quad_order: int) -> complex:
@@ -129,7 +134,7 @@ def continuous_inner(f, g, quad_order: int) -> complex:
     H-periodic trigonometric integrands of per-axis degree < quad_order.
     """
     pts = unit_cell_points(quad_order)
-    return complex((np.asarray(f(pts)) * np.conj(np.asarray(g(pts)))).mean())
+    return complex(_pair(f, g, pts, f"the {quad_order}^3 cell grid", pts).mean())
 
 
 # complex elements in any one array that a chunk of points forms

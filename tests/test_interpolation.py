@@ -28,7 +28,7 @@ from fcctrig.interpolation import (
     node_set,
     tetra_grid,
 )
-from fcctrig.kernels import dirichlet, phi_n_fund, phi_n_star
+from fcctrig.kernels import K_n, dirichlet, dirichlet_product, phi_n_fund, phi_n_star, theta_n
 from fcctrig.lattice import in_omega_H, phi
 from fcctrig.symmetry import PERM_SIGNS, PERM_TABLE, project_minus
 from fcctrig.transforms import fourier_coeffs
@@ -456,12 +456,19 @@ def test_from_node_values_rejects_non_finite_values(bad):
         lambda: lebesgue_interp(2, "in", 3.5),
         lambda: lebesgue_interp(2, "lnstar", 3.5),
         lambda: lebesgue_interp(2.5, "instar", 4),
+        lambda: theta_n(2.5, np.zeros((1, 4))),
+        lambda: K_n(2.5, np.zeros((1, 4))),
+        lambda: dirichlet(2.5, np.zeros((1, 4))),
+        lambda: dirichlet_product(2.5, np.zeros((1, 4))),
+        lambda: ell_circ((6, 2, -2, -6), 2.5, np.zeros((1, 4))),
     ],
     ids=["tetra_grid", "dodeca_grid", "interp_Ln_star", "node_set", "lebesgue_in",
-         "lebesgue_lnstar", "lebesgue_degree"],
+         "lebesgue_lnstar", "lebesgue_degree", "theta_n", "K_n", "dirichlet",
+         "dirichlet_product", "ell_circ"],
 )
 def test_non_integer_degree_or_grid_is_rejected(call):
-    # lebesgue_interp(2, "in", 3.5) used to return 4.1511 from a non-uniform grid
+    # lebesgue_interp(2, "in", 3.5) used to return 4.1511 from a non-uniform
+    # grid; dirichlet(2.5, 0) returned 111.0 and theta_n(1.5, 0) 5.0625
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 
@@ -472,6 +479,29 @@ def test_numpy_integer_degree_and_grid_give_the_same_numbers():
     assert lebesgue_interp(i(2), "lnstar", i(4)) == lebesgue_interp(2, "lnstar", 4)
     t = tetra_grid(3)
     assert np.array_equal(interp_Ln_star(smooth_probe, i(3))(t), interp_Ln_star(smooth_probe, 3)(t))
+    for kernel in (theta_n, K_n, dirichlet, dirichlet_product):
+        assert np.array_equal(kernel(i(3), t), kernel(3, t))
+    j = (6, 2, -2, -6)
+    assert np.array_equal(ell_circ(j, i(4), t), ell_circ(j, 4, t))
+
+
+def test_interpolants_compare_and_hash_by_identity():
+    # == used to raise ValueError (ambiguous truth value of the arrays) and
+    # hash TypeError (unhashable ndarray)
+    a, b = interp_In(smooth_probe, 2), interp_In(smooth_probe, 2)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
+def test_build_keeps_the_dtype_of_f():
+    # real samples stay real, at least float, and build the same bits as
+    # their complex copies
+    t = tetra_grid(4)
+    real = interp_Ln_star(smooth_probe, 3)
+    as_complex = interp_Ln_star(lambda s: smooth_probe(s) + 0j, 3)
+    assert real.values.dtype == np.float64 and as_complex.values.dtype == np.complex128
+    assert np.array_equal(real(t), as_complex(t))
+    assert interp_In(lambda s: np.ones(s.shape[:-1], dtype=int), 2).values.dtype == np.float64
 
 
 def test_build_takes_a_scalar_at_every_node():

@@ -64,6 +64,26 @@ def test_in_omega_half_open():
     assert not in_closed_omega_H(np.array([1.0, -1.5, 0.25, 0.25]))
 
 
+def test_domain_tests_match_the_pair_loop():
+    # the loop over i < j that the difference test replaced, as reference;
+    # eighths put many differences exactly on -1 and 1
+    rng = np.random.default_rng(3)
+    t = np.concatenate([rand_t(rng, 500), homo_point(rng.integers(-8, 9, (2000, 4)) / 8.0)])
+    t = t.reshape(50, 50, 4)
+    half_open = np.ones(t.shape[:-1], dtype=bool)
+    closed = {tol: np.ones(t.shape[:-1], dtype=bool) for tol in (1e-12, 1e-9)}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            d = t[..., i] - t[..., j]
+            half_open &= (d > -1.0) & (d <= 1.0)
+            for tol, ok in closed.items():
+                ok &= np.abs(d) <= 1.0 + tol
+    assert 0 < half_open.sum() < half_open.size
+    assert np.array_equal(in_omega_H(t), half_open)
+    for tol, ok in closed.items():
+        assert np.array_equal(in_closed_omega_H(t, tol), ok)
+
+
 def test_fold_lands_in_domain_and_is_idempotent():
     rng = np.random.default_rng(1)
     t = 5.0 * rand_t(rng, 500)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fcctrig.indexsets import (
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
+    lambda_weights,
     to_reduced,
     weight_lambda,
 )
@@ -200,6 +202,67 @@ def test_inner_tetra_interior_rejects_degree_below_one(n):
     # used to return 0j through an empty lambda_circ_nodes(n)
     with pytest.raises(ValueError, match="degree must be >= 1"):
         inner_tetra_interior(one, one, n)
+
+
+# every sum over samples of a user function, with the name of the sampled one
+SUMS = {
+    "inner_n": (lambda f: inner_n(f, one, 2), "f"),
+    "inner_n_g": (lambda g: inner_n(one, g, 2), "g"),
+    "inner_n_star": (lambda f: inner_n_star(f, one, 2), "f"),
+    "inner_tetra": (lambda f: inner_tetra(f, one, 2), "f"),
+    "inner_tetra_interior": (lambda f: inner_tetra_interior(f, one, 4), "f"),
+    "cubature_dodeca": (lambda f: cubature_dodeca(f, 2), "f"),
+    "cubature_tetra": (lambda f: cubature_tetra(f, 3), "f"),
+    "cubature_tetra_regular": (lambda f: cubature_tetra_regular(f, 3), "f"),
+    "continuous_inner": (lambda f: continuous_inner(f, one, 4), "f"),
+    "continuous_inner_g": (lambda g: continuous_inner(one, g, 4), "g"),
+}
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_sums_reject_values_of_the_wrong_shape(name):
+    # cubature_dodeca of an (N, 1)-valued f used to return 65, and inner_n 32
+    call, which = SUMS[name]
+    want = rf"{which} returned shape \((\d+), 1\) .* expected \(\1,\)"
+    with pytest.raises(ValueError, match=want):
+        call(lambda t: np.ones(t.shape[:-1] + (1,)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", SUMS)
+def test_sums_reject_non_finite_values(name, bad):
+    # a NaN used to pass through cubature_tetra silently
+    call, which = SUMS[name]
+
+    def f(t):
+        out = np.ones(t.shape[:-1])
+        out[-1] = bad
+        return out
+
+    with pytest.raises(ValueError, match=rf"value of {which} at \(.* is not finite"):
+        call(f)
+
+
+def test_sums_keep_the_dtype_of_f():
+    # real samples are summed as reals, bit for bit the plain weighted sum;
+    # a cast to complex moves this value by 1 ulp
+    def f(t):
+        return np.cos(np.pi * t[..., 0]) + t[..., 1] ** 2
+
+    idx = lambda_nodes(11)
+    pts = idx / 44.0
+    want = complex((f(pts) * lambda_weights(11).astype(float)).sum() / (4 * 11**3))
+    assert cubature_tetra(f, 11) == want
+
+
+def test_sums_and_boxes_take_object_values():
+    # Fractions or ints beyond int64 come back as an object array, which
+    # the finiteness check cannot read until it is cast
+    def f(t):
+        return [Fraction(1, 4)] * len(t)
+
+    assert cubature_tetra(f, 2) == pytest.approx(0.25, abs=1e-15)
+    assert fourier_coeffs(f, 1).box[1, 1, 1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_fourier_coeffs_takes_a_scalar_everywhere():
