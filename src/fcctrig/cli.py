@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -38,10 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _fnum(x) -> str:
-    return repr(float(x))
 
 
 def _parse_k(text: str) -> np.ndarray:
@@ -75,25 +72,28 @@ def _builtin(name: str, k):
     raise _UsageError(f"unknown builtin function {name!r}")
 
 
-def _cells(col) -> list:
-    """CSV cells of an array of rows, one list of strings per column."""
-    cols = col.reshape(len(col), -1).T
-    if cols.dtype.kind == "U":
-        return cols.tolist()
-    # repr each distinct number once, keyed on its bits so that -0.0 is not
-    # printed as 0.0
-    bits, inv = np.unique(cols.view(f"u{cols.itemsize}"), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(cols.dtype).tolist()])
-    return text[inv.reshape(cols.shape)].tolist()
+def _cells(col, fmt):
+    """fmt of each distinct value of an array of rows, as an object array, and
+    the (rows, columns) index of every cell into it."""
+    cols = col.reshape(len(col), -1)
+    # keyed on the bits of numbers so that -0.0 is not printed as 0.0
+    keys = cols if cols.dtype.kind == "U" else cols.view(f"u{cols.itemsize}")
+    uniq, inv = np.unique(keys, return_inverse=True)
+    vals = uniq if cols.dtype.kind == "U" else uniq.view(cols.dtype)
+    return np.array([fmt(v) for v in vals.tolist()], dtype=object), inv.reshape(cols.shape)
 
 
-def _csv(header, rows) -> str:
+def _csv(header, lines) -> str:
     # cells are numbers and fixed labels, none needs CSV quoting
-    return "".join(",".join(row) + "\n" for row in (header, *rows))
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _record(args, obj) -> str:
+    """One record: canonical JSON, or CSV with its keys as the header and
+    None as an empty cell."""
+    if args.format == "json":
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _csv(list(obj), [",".join("" if v is None else str(v) for v in obj.values())])
 
 
 def _table(args, obj, key, fields) -> str:
@@ -102,14 +102,30 @@ def _table(args, obj, key, fields) -> str:
 
     A field is (record key, or None for a CSV-only column; CSV column
     names; array with one row per record).  A 2-D array fills one CSV
-    column per name and one list per record.
+    column per name and one list per record.  Each field's distinct values
+    are formatted once (str for CSV, json.dumps for JSON) and every row is
+    one join of its cells; a JSON record's keys, brackets and braces go
+    onto the distinct texts of its first and last cells.
     """
-    if args.format == "json":
-        keys = [k for k, _, _ in fields if k]
-        cols = [col.tolist() for k, _, col in fields if k]
-        return _json({**obj, key: [dict(zip(keys, rec)) for rec in zip(*cols)]})
-    header = [name for _, names, _ in fields for name in names]
-    return _csv(header, zip(*(c for _, _, col in fields for c in _cells(col))))
+    js = args.format == "json"
+    if js:
+        fields = sorted((f for f in fields if f[0]), key=lambda f: f[0])
+    cols = []  # per column: [distinct texts, index of each row's text]
+    for rkey, _, col in fields:
+        texts, inv = _cells(col, json.dumps if js else str)
+        field = [[texts, i] for i in inv.T]
+        if js:  # adding a str to an object array adds it to every text
+            brackets = col.ndim > 1
+            field[0][0] = f"{json.dumps(rkey)}:" + "[" * brackets + field[0][0]
+            field[-1][0] = field[-1][0] + "]" * brackets
+        cols += field
+    cols[0][0], cols[-1][0] = "{" * js + cols[0][0], cols[-1][0] + "}" * js
+    rows = map(",".join, zip(*(texts[inv].tolist() for texts, inv in cols)))
+    if not js:
+        return _csv([name for _, names, _ in fields for name in names], rows)
+    body = f"[{','.join(rows)}]"
+    return "{" + ",".join(f"{json.dumps(k)}:{body if k == key else json.dumps(v)}"
+                          for k, v in sorted({**obj, key: None}.items())) + "}\n"
 
 
 def _emit(args, text: str) -> None:
@@ -136,22 +152,21 @@ def cmd_nodes(args) -> int:
     n = args.n
     if args.set == "lambda":
         idx = indexsets.lambda_nodes(n)
-        keys = indexsets.lambdas(idx, n)[:, None]
-        label = lambda w: (indexsets.TETRA_STRATA[w], str(w), repr(float(w)))
+        keys = indexsets.lambdas(idx, n)
+        label = lambda w: (indexsets.TETRA_STRATA[w], str(w), float(w))
     else:
-        gen = {
-            "hn": indexsets.generate_Hn,
-            "hstar": indexsets.generate_Hn_star,
-            "hcirc": indexsets.generate_Hn_circ,
-        }[args.set]
-        idx = gen(n)
-        keys = np.column_stack([indexsets.strata(idx, n), indexsets.class_sizes(idx, n)])
-        label = lambda a, b, size: ("interior" if a + b == 0 else f"{a}{b}",
-                                    str(Fraction(1, size)), repr(1 / size))
-    # stratum and weight depend on the class key only: format each class once
-    uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-    stratum, weight, weight_float = (np.array(col)[inv.ravel()]
-                                     for col in zip(*(label(*u) for u in uniq.tolist())))
+        idx = {"hn": indexsets.generate_Hn, "hstar": indexsets.generate_Hn_star,
+               "hcirc": indexsets.generate_Hn_circ}[args.set](n)
+        keys = indexsets.stratum_keys(idx, n)
+
+        def label(key):
+            a, b = divmod(key, 4)
+            size = int(indexsets._BINOM[a + b, a])
+            return "interior" if key == 0 else f"{a}{b}", str(Fraction(1, size)), 1 / size
+    # stratum and weight depend on the class key only: label each class once
+    uniq, inv = np.unique(keys, return_inverse=True)
+    stratum, weight, weight_float = (np.array(col)[inv.reshape(keys.shape)]
+                                     for col in zip(*map(label, uniq.tolist())))
     pts = idx.astype(float) / (4.0 * n)
     _emit(args, _table(args, {"set": args.set, "n": n}, "nodes", [
         ("index", ["j1", "j2", "j3", "j4"], idx),
@@ -187,16 +202,13 @@ def cmd_cubature(args) -> int:
         val = transforms.cubature_tetra(f, args.n)
     else:
         val = transforms.cubature_dodeca(f, args.n)
-    rows = [[args.set, str(args.n), args.f, _fnum(val.real), _fnum(val.imag)]]
-    obj = {
+    _emit(args, _record(args, {
         "set": args.set,
         "n": args.n,
         "f": args.f,
-        "value_re": val.real,
-        "value_im": val.imag,
-    }
-    # the CSV header is the JSON object's keys
-    _emit(args, _json(obj) if args.format == "json" else _csv(list(obj), rows))
+        "value_re": float(val.real),
+        "value_im": float(val.imag),
+    }))
     return EXIT_OK
 
 
@@ -239,7 +251,7 @@ def cmd_interpolate(args) -> int:
         fields += [("f_re", ["f_re"], exact.real), ("f_im", ["f_im"], exact.imag),
                    ("abs_err", ["abs_err"], err)]
         obj["max_error"] = float(err.max())
-        print(f"max_error={_fnum(err.max())}", file=sys.stderr)
+        print(f"max_error={obj['max_error']!r}", file=sys.stderr)
     _emit(args, _table(args, obj, "values", fields))
     return EXIT_OK
 
@@ -254,17 +266,14 @@ def cmd_lebesgue(args) -> int:
         grid = 25 if args.grid is None else args.grid
         est = interpolation.lebesgue_interp(n, kind, grid_per_axis=grid)
         quad = None
-    ratio = est / math.log(n) ** 3 if n > 1 else float("nan")
-    rows = [[kind, str(n), str(grid), "" if quad is None else str(quad), _fnum(est), _fnum(ratio)]]
-    obj = {
+    _emit(args, _record(args, {
         "kind": kind,
         "n": n,
         "grid": grid,
         "quad": quad,
-        "estimate": est,
-        "ratio_log3": None if n <= 1 else ratio,
-    }
-    _emit(args, _json(obj) if args.format == "json" else _csv(list(obj), rows))
+        "estimate": float(est),
+        "ratio_log3": float(est) / math.log(n) ** 3 if n > 1 else None,
+    }))
     return EXIT_OK
 
 
@@ -313,6 +322,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="fcc-trig", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

@@ -87,6 +87,15 @@ def strata(kk, n: int) -> np.ndarray:
     return np.stack([I.sum(axis=1), J.sum(axis=1)], axis=1)
 
 
+def stratum_keys(kk, n: int) -> np.ndarray:
+    """One integer 4|I| + |J| per row of kk; divmod(key, 4) gives (|I|, |J|) back.
+
+    |J| <= 3, so keys sort as the (|I|, |J|) pairs do; 0 is interior.
+    """
+    s = strata(kk, n)
+    return 4 * s[:, 0] + s[:, 1]
+
+
 def class_sizes(kk, n: int) -> np.ndarray:
     """binom(|I|+|J|, |I|) per row: the size of each node's congruence class.
 
@@ -123,9 +132,8 @@ def weight_c(k, n: int) -> Fraction:
 
 def stratum_counts(n: int) -> dict:
     """Map (|I|, |J|) -> number of nodes in that stratum of the star set."""
-    s = strata(generate_Hn_star(n), n)
-    labels, counts = np.unique(s, axis=0, return_counts=True)
-    return {tuple(lab): c for lab, c in zip(labels.tolist(), counts.tolist())}
+    keys, counts = np.unique(stratum_keys(generate_Hn_star(n), n), return_counts=True)
+    return {divmod(key, 4): c for key, c in zip(keys.tolist(), counts.tolist())}
 
 
 def tetra_stratum(k, n: int) -> str:

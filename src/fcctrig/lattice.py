@@ -14,7 +14,8 @@ coordinates, half open: -1 < t_i - t_j <= 1 for all i < j.
 
 Every node and frequency set, evaluation grid and fold shift list is read
 off ``_box(lo, hi)``, the one enumeration of integer triples, and every such
-difference test, Omega_H's and the node sets', goes through ``_diffs(x)``.
+difference test runs over ``_PAIRS``, the one list of pairs i < j: the node
+sets' through ``_diffs(x)``, Omega_H's one pair at a time, in place.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ def _diffs(x: np.ndarray) -> np.ndarray:
     return x[..., _PAIRS[0]] - x[..., _PAIRS[1]]
 
 
+def _all_pairs(t, test) -> np.ndarray:
+    """test(t_i - t_j) and-ed over the six pairs i < j, one (...,) view at a time."""
+    t = np.asarray(t, dtype=float)
+    out = np.ones(t.shape[:-1], dtype=bool)
+    for i, j in zip(*_PAIRS):
+        out &= test(t[..., i] - t[..., j])
+    return out[()]  # a scalar for one point
+
+
 def in_omega_H(t) -> np.ndarray:
     """Membership in the half-open fundamental domain.
 
@@ -108,13 +118,12 @@ def in_omega_H(t) -> np.ndarray:
     tolerance should use in_closed_omega_H.  Node membership decisions must
     be made on integer indices, never on the floats produced here.
     """
-    d = _diffs(np.asarray(t, dtype=float))
-    return ((d > -1.0) & (d <= 1.0)).all(axis=-1)
+    return _all_pairs(t, lambda d: (d > -1.0) & (d <= 1.0))
 
 
 def in_closed_omega_H(t, tol: float = 1e-12) -> np.ndarray:
     """Membership in the closure, |t_i - t_j| <= 1 within tol."""
-    return (np.abs(_diffs(np.asarray(t, dtype=float))) <= 1.0 + tol).all(axis=-1)
+    return _all_pairs(t, lambda d: np.abs(d) <= 1.0 + tol)
 
 
 # Offsets v in {-1,0}^3: the reduction below first lands in A[0,1)^3, and

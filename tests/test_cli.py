@@ -291,14 +291,18 @@ def test_lebesgue_sn_degree_zero_usage(capsys):
 
 
 def test_lebesgue_ratio_null_at_degree_one(capsys):
-    code, out, _ = run(
-        capsys, "lebesgue", "--kind", "instar", "--n", "1", "--grid", "5",
-        "--format", "json",
-    )
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["ratio_log3"] is None
-    assert obj["estimate"] > 0.0
+    # no ratio to (log n)^3 at n = 1: JSON null and an empty CSV cell, as for quad
+    for kind in ("instar", "in"):
+        argv = ("lebesgue", "--kind", kind, "--n", "1", "--grid", "5")
+        code, js, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = json.loads(js)
+        assert obj["ratio_log3"] is None and obj["quad"] is None
+        assert obj["estimate"] > 0.0
+        header, rows = parse_csv(run(capsys, *argv)[1])
+        cell = dict(zip(header, rows[0]))
+        assert cell["ratio_log3"] == cell["quad"] == ""
+        assert float(cell["estimate"]) == obj["estimate"]
 
 
 def test_lebesgue_ln_degree_one_usage(capsys):
@@ -411,6 +415,75 @@ def test_lebesgue_quad_zero_is_rejected(capsys):
 def test_bad_subcommand_usage(capsys):
     code, _, _ = run(capsys, "nosuch")
     assert code == 1
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(capsys, monkeypatch, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli.transforms, "lebesgue_Sn",
+                        lambda n, grid_per_axis, quad_order: seen.append(grid_per_axis) or 2.0)
+    monkeypatch.setattr(cli.interpolation, "lebesgue_interp",
+                        lambda n, kind, grid_per_axis: seen.append(grid_per_axis) or 2.0)
+    for kinds in (("sn", "in", "sn"), ("in", "sn", "in")):
+        seen.clear()
+        grids = [json.loads(run(capsys, "lebesgue", "--kind", k, "--format", "json")[1])["grid"]
+                 for k in kinds]
+        want = [17 if k == "sn" else 25 for k in kinds]
+        assert grids == seen == want
+    nodes = node_set("lnstar", 2)
+    path = write_samples(tmp_path / "samples.csv",
+                         [(k, complex(i, -i)) for i, k in enumerate(nodes)])
+    samples = ("interpolate", "--kind", "lnstar", "--samples", path, "--n", "2", "--grid", "3")
+    builtin = ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "2", "--grid", "3")
+    alone = {argv: run(capsys, *argv) for argv in (samples, builtin)}
+    for first, second in ((samples, builtin), (builtin, samples), (samples, samples)):
+        assert run(capsys, *first) == alone[first]
+        assert run(capsys, *second) == alone[second]
+    assert "f_re" not in alone[samples][1] and alone[samples][2] == ""
+    assert "f_re" in alone[builtin][1] and "max_error=" in alone[builtin][2]
+
+
+def canonical(out):
+    return json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    *(("nodes", "--set", s, "--n", str(n)) for s in ("hn", "hstar", "hcirc", "lambda")
+      for n in (1, 2, 3, 4)),
+    *(("kernel", "--f", f, "--k", "4,0,0,-4", "--n", "2", "--grid", "3")
+      for f in ("phi", "theta", "dirichlet", "phin", "phistar")),
+    *(("interpolate", "--kind", k, "--f", "expsin", "--n", "2", "--grid", "3")
+      for k in ("in", "instar", "ln", "lnstar")),
+    ("cubature", "--f", "phi", "--k", "4,0,0,-4", "--n", "2"),
+    ("lebesgue", "--kind", "lnstar", "--n", "2", "--grid", "3"),
+], ids=" ".join)
+def test_json_tables_are_canonical(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == canonical(out)
+
+
+def test_json_samples_table_is_canonical(tmp_path, capsys):
+    nodes = node_set("instar", 2)
+    path = write_samples(tmp_path / "samples.csv",
+                         [(k, complex(i / 3, -0.0)) for i, k in enumerate(nodes)])
+    code, out, _ = run(capsys, "interpolate", "--kind", "instar", "--samples", path,
+                       "--n", "2", "--grid", "3", "--format", "json")
+    assert code == 0
+    assert out == canonical(out)
+
+
+def test_negative_zero_is_printed_in_both_formats(capsys):
+    # the tetrahedral grid's first point is (0, 0, 0, -0.0)
+    argv = ("interpolate", "--kind", "lnstar", "--f", "one", "--n", "1", "--grid", "2")
+    _, text, _ = run(capsys, *argv)
+    _, js, _ = run(capsys, *argv, "--format", "json")
+    header, rows = parse_csv(text)
+    assert header[3] == "t4" and rows[0][3] == "-0.0"
+    assert js.startswith('{"grid":2,"kind":"lnstar","max_error":0.0,"n":1,'
+                         '"values":[{"abs_err":0.0,"f_im":0.0,"f_re":1.0,"im":0.0,'
+                         '"point":[0.0,0.0,0.0,-0.0],')
+    assert math.copysign(1.0, json.loads(js)["values"][0]["point"][3]) == -1.0
 
 
 # sha256 of stdout: any change to node order, strata labels, weights or

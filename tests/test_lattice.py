@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ def test_domain_tests_match_the_pair_loop():
     assert np.array_equal(in_omega_H(t), half_open)
     for tol, ok in closed.items():
         assert np.array_equal(in_closed_omega_H(t, tol), ok)
+
+
+def test_domain_tests_on_differences_of_exactly_one():
+    # slot a at 1/2 and slot b at -1/2: t_a - t_b = 1 exactly and every other
+    # difference is 1/2 or 0, so only the half-open test tells the pairs apart
+    pts, want = np.zeros((12, 4)), []
+    for row, (a, b) in zip(pts, itertools.permutations(range(4), 2)):
+        row[a], row[b] = 0.5, -0.5
+        want.append(a < b)
+    assert in_omega_H(pts).tolist() == want
+    assert in_closed_omega_H(pts).all()
+    assert not in_closed_omega_H(1.5 * pts).any()
+    # one point at a time gives a scalar with the same answer
+    assert [in_omega_H(t) for t in pts] == want
+    assert np.shape(in_omega_H(pts[0])) == np.shape(in_closed_omega_H(pts[0])) == ()
 
 
 def test_fold_lands_in_domain_and_is_idempotent():
