@@ -1,7 +1,7 @@
 """Thread budget and deterministic chunked evaluation.
 
-FCC_TRIG_THREADS caps the worker count for the grid scans (0 or unset
-means one worker per CPU); map_chunks never starts more workers than
+FCC_TRIG_THREADS caps the worker count for the interpolation Lebesgue
+scan, ``lebesgue_interp`` (0 or unset means one worker per CPU); map_chunks never starts more workers than
 there are CPUs.  Chunks are always combined in submission order, so
 results do not depend on scheduling.
 """

@@ -36,8 +36,7 @@ def _err(got, want) -> float:
 
 def _phis(nodes: np.ndarray, n: int, freqs: np.ndarray) -> np.ndarray:
     """phi_k(j / 4n) for nodes j (rows) and frequencies k (columns)."""
-    pts = nodes.astype(float) / (4.0 * n)
-    return np.exp(0.5j * np.pi * (pts @ freqs.astype(float).T))
+    return kernels._expsum(freqs, nodes.astype(float) / (4.0 * n))
 
 
 def cardinalities(n: int) -> int:

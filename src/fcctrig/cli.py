@@ -5,9 +5,11 @@ Output is CSV (default) or canonical JSON, deterministic byte for byte
 for a fixed invocation: node ordering is fixed, floats are printed in
 their shortest round-trip form, JSON keys are sorted.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
-The environment variable FCC_TRIG_THREADS caps internal parallelism
-(0 or unset picks one worker per CPU).
+Exit codes: 0 success, 1 usage error (every ValueError), 2 verification
+failure, 3 I/O error.  ``lebesgue`` takes --quad for ``sn`` only and --grid
+for the other kinds only.  The environment variable FCC_TRIG_THREADS caps
+the workers of the interpolation Lebesgue scans (0 or unset picks one
+worker per CPU).
 """
 
 from __future__ import annotations
@@ -31,28 +33,21 @@ EXIT_IO = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the published contract is 1
+    # argparse exits with 2 on bad usage; the published contract is 1, which
+    # main gives every ValueError
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _parse_k(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise _UsageError("--k needs four comma-separated integers")
     try:
-        k = np.array([int(p) for p in parts], dtype=np.int64)
+        k = [int(p) for p in text.split(",")]
     except ValueError:
-        raise _UsageError("--k needs four comma-separated integers") from None
-    try:
-        return lattice.hindex(k)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+        k = []
+    if len(k) != 4:
+        raise ValueError("--k needs four comma-separated integers")
+    return lattice.hindex(np.array(k, dtype=np.int64))
 
 
 def _builtin(name: str, k):
@@ -62,14 +57,14 @@ def _builtin(name: str, k):
     if name == "expsin":
         return lambda t: np.exp(np.sin(2.0 * np.pi * np.asarray(t)[..., 0]))
     if k is None:
-        raise _UsageError(f"--f {name} needs --k a,b,c,d")
+        raise ValueError(f"--f {name} needs --k a,b,c,d")
     if name == "phi":
         return lambda t: lattice.phi(k, t)
     if name == "tc":
         return lambda t: trigbasis.tc(np.sort(k)[::-1], t)
     if name == "ts":
         return lambda t: trigbasis.ts(np.sort(k)[::-1], t)
-    raise _UsageError(f"unknown builtin function {name!r}")
+    raise ValueError(f"unknown builtin function {name!r}")
 
 
 def _cells(col, fmt):
@@ -182,7 +177,7 @@ def cmd_nodes(args) -> int:
 def cmd_kernel(args) -> int:
     n, name = args.n, args.f
     if n < 1:
-        raise _UsageError("degree must be >= 1")
+        raise ValueError("degree must be >= 1")
     if name == "phi":
         fn = _builtin("phi", _parse_k(args.k) if args.k else None)
     else:
@@ -218,16 +213,13 @@ def _read_samples(path, kind, n):
         reader = csv.DictReader(fh)
         need = {"j1", "j2", "j3", "j4", "re", "im"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise _UsageError("sample file needs the header j1,j2,j3,j4,re,im")
+            raise ValueError("sample file needs the header j1,j2,j3,j4,re,im")
         for row in reader:
             key = tuple(int(row[c]) for c in ("j1", "j2", "j3", "j4"))
             if key in values:
-                raise _UsageError(f"sample file lists node {key} twice")
+                raise ValueError(f"sample file lists node {key} twice")
             values[key] = complex(float(row["re"]), float(row["im"]))
-    try:
-        return interpolation.from_node_values(kind, n, values)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return interpolation.from_node_values(kind, n, values)
 
 
 def cmd_interpolate(args) -> int:
@@ -240,7 +232,7 @@ def cmd_interpolate(args) -> int:
         f = _builtin(args.f, k)
         interp = interpolation.BUILDERS[kind](f, n)
     else:
-        raise _UsageError("interpolate needs either --f or --samples")
+        raise ValueError("interpolate needs either --f or --samples")
     grid = interpolation._KINDS[kind].grid(args.grid)
     approx = np.asarray(interp(grid), dtype=complex)
     fields = _values(grid, approx, "approx_")
@@ -258,14 +250,18 @@ def cmd_interpolate(args) -> int:
 
 def cmd_lebesgue(args) -> int:
     kind, n = args.kind, args.n
+    # sn reads only --quad (S_n is a convolution, nothing to scan), the
+    # interpolation kinds only --grid
+    flag, given = ("--grid", args.grid) if kind == "sn" else ("--quad", args.quad)
+    if given is not None:
+        raise ValueError(f"{flag} does not apply to --kind {kind}")
+    grid = quad = None
     if kind == "sn":
-        grid = 17 if args.grid is None else args.grid
         quad = 64 if args.quad is None else args.quad
-        est = transforms.lebesgue_Sn(n, grid_per_axis=grid, quad_order=quad)
+        est = transforms.lebesgue_Sn(n, quad_order=quad)
     else:
         grid = 25 if args.grid is None else args.grid
         est = interpolation.lebesgue_interp(n, kind, grid_per_axis=grid)
-        quad = None
     _emit(args, _record(args, {
         "kind": kind,
         "n": n,
@@ -286,7 +282,7 @@ def cmd_verify(args) -> int:
     None) passes when it measures 0, the others below their tolerance."""
     n, m = args.n, max(args.n, 4)
     if n < 1:
-        raise _UsageError("degree must be >= 1")
+        raise ValueError("degree must be >= 1")
     t = np.random.default_rng(20240901).uniform(-1.0, 1.0, size=(50, 4))
     t -= t.mean(axis=1, keepdims=True)
     expsin = _builtin("expsin", None)
@@ -366,7 +362,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("lebesgue", help="estimate a Lebesgue constant")
     sp.add_argument("--kind", choices=interpolation.KINDS + ("sn",), default="instar")
     sp.add_argument("--quad", type=int, default=None, help="quadrature per axis (sn only)")
-    sp.add_argument("--grid", type=int, default=None, help="grid points per axis")
+    sp.add_argument("--grid", type=int, default=None, help="grid points per axis (not sn)")
     common(sp)
     sp.set_defaults(fn=cmd_lebesgue)
 
@@ -382,9 +378,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,11 +67,15 @@ def dirichlet_product(n: int, t) -> np.ndarray:
     return np.prod(kt, axis=-1) - np.prod(kt - 1.0, axis=-1)
 
 
+def _expsum(kk: np.ndarray, t) -> np.ndarray:
+    """phi_k(t) = exp(i pi k.t / 2) for points t (rows) and frequencies kk
+    (columns); the one exponential matrix of every direct sum."""
+    return np.exp(0.5j * np.pi * (np.asarray(t, dtype=float) @ kk.astype(float).T))
+
+
 def dirichlet_direct(n: int, t) -> np.ndarray:
     """Oracle: explicit exponential sum over the star frequency set."""
-    t = np.asarray(t, dtype=float)
-    kk = generate_Hn_star(n).astype(float)
-    return np.exp(0.5j * np.pi * (t @ kk.T)).sum(axis=-1)
+    return _expsum(generate_Hn_star(n), t).sum(axis=-1)
 
 
 def phi_n_fund(n: int, t) -> np.ndarray:
@@ -80,9 +84,7 @@ def phi_n_fund(n: int, t) -> np.ndarray:
     Mean of the 4n^3 exponentials; there is no shorter closed form.  The
     ``in`` interpolant is tested against sums of this kernel.
     """
-    t = np.asarray(t, dtype=float)
-    kk = generate_Hn(n).astype(float)
-    return np.exp(0.5j * np.pi * (t @ kk.T)).sum(axis=-1) / (4 * n**3)
+    return _expsum(generate_Hn(n), t).sum(axis=-1) / (4 * n**3)
 
 
 def edge_sum(n: int, t) -> np.ndarray:
@@ -105,11 +107,9 @@ def edge_sum(n: int, t) -> np.ndarray:
 
 def edge_sum_direct(n: int, t) -> np.ndarray:
     """Oracle for edge_sum: sum exponentials over the two edge strata."""
-    t = np.asarray(t, dtype=float)
     kk = generate_Hn_star(n)
     # |I| + |J| = 3 exactly on the (1, 2) and (2, 1) strata
-    kk = kk[strata(kk, n).sum(axis=1) == 3].astype(float)
-    return np.exp(0.5j * np.pi * (t @ kk.T)).sum(axis=-1)
+    return _expsum(kk[strata(kk, n).sum(axis=1) == 3], t).sum(axis=-1)
 
 
 def phi_n_star(n: int, t) -> np.ndarray:
@@ -130,9 +130,6 @@ def phi_n_star(n: int, t) -> np.ndarray:
 
 def phi_n_star_direct(n: int, t) -> np.ndarray:
     """Oracle: weighted exponential sum over the star set."""
-    t = np.asarray(t, dtype=float)
     kk = generate_Hn_star(n)
-    w = 1.0 / class_sizes(kk, n)
-    e = np.exp(0.5j * np.pi * (t @ kk.astype(float).T))
-    return (e * w).sum(axis=-1) / (4 * n**3)
+    return (_expsum(kk, t) * (1.0 / class_sizes(kk, n))).sum(axis=-1) / (4 * n**3)
 

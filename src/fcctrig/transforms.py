@@ -17,11 +17,11 @@ polynomial: Fourier partial sums, interpolants and D_n are each one.
 from __future__ import annotations
 
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_chunks
 from .indexsets import (
     class_sizes,
     generate_Hn,
@@ -207,35 +207,30 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     return TrigPoly._place(kk, np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3, n)
 
 
-def lebesgue_Sn(n: int, grid_per_axis: int = 17, quad_order: int = 64) -> float:
-    """Grid estimate of the partial-sum operator norm, the integral of |D_n|.
-
-    Maximum over the unit-cell t-grid of the mean of |D_n(t - s)| over the
-    q^3 unit-cell quadrature grid in s, q = quad_order.  Each mean is a
-    q-point quadrature of the norm, so the maximum can lie above it as well
-    as below: the mean of |D_4| is 6.936858 at q = 24 against 6.927542 at
-    q = 128.  D_n is the (2n+1)^3 box of ones at to_reduced(H_n*) + n and
-    s[:3] = u / q, so D_n(t - s) at every s is that box contracted one axis
-    at a time with the q x (2n+1) matrices exp(2 pi i k (t_i - u / q)).  A
-    chunk holds max(1, 2^20 // max(q, 2n + 1)^3) t-points, so no array it
-    forms exceeds max(2^20, max(q, 2n + 1)^3) complex numbers.
+def lebesgue_Sn(n: int, grid_per_axis=None, quad_order: int = 64) -> float:
+    """The norm of the partial-sum operator S_n, the integral of |D_n|, by
+    the q-point rule: the mean of |D_n(s)| over the q^3 unit-cell grid s[:3]
+    = u / q, q = quad_order.  S_n is a convolution with D_n, so its norm
+    does not depend on t.  The rule is not exact (|D_n| is not a trig
+    polynomial): the mean of |D_4| is 6.936858 at q = 24 against 6.927542
+    at q = 128.  D_n is the (2n+1)^3 box of ones at to_reduced(H_n*) + n,
+    contracted one axis at a time with the q x (2n+1) matrix
+    exp(-2 pi i k u / q), in slabs of max(1, 2^20 // max(q, 2n + 1)^2) rows
+    u_0, so no array exceeds max(2^20, max(q, 2n + 1)^2) complex numbers.
+    grid_per_axis is deprecated and ignored.
     """
-    if grid_per_axis < 2:
-        raise ValueError(f"grid must have at least 2 points per axis, got {grid_per_axis}")
+    if grid_per_axis is not None:
+        warnings.warn("lebesgue_Sn does not scan a grid: grid_per_axis is ignored",
+                      DeprecationWarning, stacklevel=2)
     if operator.index(quad_order) < 2:
         raise ValueError("quadrature order must be at least 2")
     kk = generate_Hn_star(n)  # raises for n < 1 before the box is sized
-    d, q, box = 2 * n + 1, quad_order, TrigPoly._place(kk, 1.0, n).box
-    freq = 2j * np.pi * np.arange(-n, n + 1)
-    u = np.arange(q) / q
-
-    def chunk(t: np.ndarray) -> float:
-        e = np.exp(((t[:, :3, None] % 1.0) - u)[..., None] * freq)  # (m, 3, q, d)
-        g = (e[:, 0] @ box.reshape(d, d * d)).reshape(-1, q, d, d)
-        g = e[:, 1, None] @ g  # (m, q, q, d)
-        g = g @ e[:, 2, None].transpose(0, 1, 3, 2)  # (m, q, q, q)
-        return float(np.abs(g).mean(axis=(1, 2, 3)).max())
-
-    t = unit_cell_points(grid_per_axis)
-    rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 3)
-    return max(map_chunks(chunk, [t[i : i + rows] for i in range(0, len(t), rows)]))
+    d, q = 2 * n + 1, quad_order
+    box = TrigPoly._place(kk, 1.0, n).box.reshape(d, d * d)
+    e = np.exp(-(np.arange(q) / q)[:, None] * (2j * np.pi * np.arange(-n, n + 1)))  # (q, d)
+    rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 2)
+    total = 0.0
+    for i in range(0, q, rows):
+        g = (e[i : i + rows] @ box).reshape(-1, d, d)
+        total += np.abs(e @ g @ e.T).sum()  # (rows, q, q)
+    return float(total / q**3)

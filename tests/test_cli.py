@@ -274,13 +274,12 @@ def test_interpolate_samples_bad_header(tmp_path, capsys):
 
 def test_lebesgue_json(capsys):
     code, out, _ = run(
-        capsys, "lebesgue", "--kind", "sn", "--n", "2", "--grid", "5",
-        "--quad", "8", "--format", "json",
+        capsys, "lebesgue", "--kind", "sn", "--n", "2", "--quad", "8", "--format", "json",
     )
     assert code == 0
     obj = json.loads(out)
     assert obj["estimate"] > 1.0
-    assert obj["quad"] == 8
+    assert obj["quad"] == 8 and obj["grid"] is None
     assert obj["ratio_log3"] == pytest.approx(obj["estimate"] / math.log(2) ** 3)
 
 
@@ -385,7 +384,6 @@ def test_verify_reports_a_failing_claim(capsys, monkeypatch):
     [
         ("kernel", "--grid", "0"),
         ("lebesgue", "--kind", "instar", "--grid", "-3"),
-        ("lebesgue", "--kind", "sn", "--grid", "1"),
     ],
     ids=" ".join,
 )
@@ -396,13 +394,37 @@ def test_bad_grid_is_named_in_the_error(capsys, argv):
     assert "grid must have at least 2 points per axis" in err
 
 
-@pytest.mark.parametrize("kind", ["instar", "lnstar", "sn"])
+@pytest.mark.parametrize("kind", ["instar", "lnstar"])
 def test_lebesgue_grid_zero_is_rejected(capsys, kind):
     # 0 is a grid size, not "use the default"
     code, out, err = run(capsys, "lebesgue", "--kind", kind, "--n", "2", "--grid", "0")
     assert code == 1
     assert out == ""
     assert "grid must have at least" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sn", "--grid", "1"), ("sn", "--grid", "0"), ("sn", "--grid", "17"),
+    *((k, "--quad", "64") for k in ("in", "instar", "ln", "lnstar")),
+], ids=" ".join)
+def test_lebesgue_flag_that_does_not_apply_is_rejected(capsys, argv):
+    # sn is a convolution with nothing to scan; the interpolation scans have
+    # no quadrature
+    kind, flag, value = argv
+    code, out, err = run(capsys, "lebesgue", "--kind", kind, "--n", "2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"error: {flag} does not apply to --kind {kind}" in err
+
+
+def test_lebesgue_sn_default(capsys):
+    # the mean of |D_2| on the 64^3 cell grid
+    code, out, _ = run(capsys, "lebesgue", "--kind", "sn", "--n", "2")
+    assert code == 0
+    header, [row] = parse_csv(out)
+    rec = dict(zip(header, row))
+    assert (rec["kind"], rec["n"], rec["grid"], rec["quad"]) == ("sn", "2", "", "64")
+    assert abs(float(rec["estimate"]) - 4.244733549032469) < 1e-12 * 4.244733549032469
 
 
 def test_lebesgue_quad_zero_is_rejected(capsys):
@@ -421,15 +443,16 @@ def test_parser_is_built_once_and_calls_do_not_leak(capsys, monkeypatch, tmp_pat
     assert cli._build_parser() is cli._build_parser()
     seen = []
     monkeypatch.setattr(cli.transforms, "lebesgue_Sn",
-                        lambda n, grid_per_axis, quad_order: seen.append(grid_per_axis) or 2.0)
+                        lambda n, quad_order: seen.append(quad_order) or 2.0)
     monkeypatch.setattr(cli.interpolation, "lebesgue_interp",
                         lambda n, kind, grid_per_axis: seen.append(grid_per_axis) or 2.0)
     for kinds in (("sn", "in", "sn"), ("in", "sn", "in")):
         seen.clear()
-        grids = [json.loads(run(capsys, "lebesgue", "--kind", k, "--format", "json")[1])["grid"]
-                 for k in kinds]
-        want = [17 if k == "sn" else 25 for k in kinds]
-        assert grids == seen == want
+        objs = [json.loads(run(capsys, "lebesgue", "--kind", k, "--format", "json")[1])
+                for k in kinds]
+        sizes = [obj["quad" if k == "sn" else "grid"] for obj, k in zip(objs, kinds)]
+        want = [64 if k == "sn" else 25 for k in kinds]
+        assert sizes == seen == want
     nodes = node_set("lnstar", 2)
     path = write_samples(tmp_path / "samples.csv",
                          [(k, complex(i, -i)) for i, k in enumerate(nodes)])

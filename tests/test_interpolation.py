@@ -228,17 +228,15 @@ def test_evaluation_memory_is_bounded(build, n, grid):
 
 
 def test_evaluation_uses_the_coefficient_box(monkeypatch):
-    # no kind falls back to the chunk pool of the Lebesgue scans
+    # no kind falls back to the chunk pool of the Lebesgue scan
     import fcctrig._parallel
     import fcctrig.interpolation
-    import fcctrig.transforms
 
     def boom(*args, **kwargs):
         raise AssertionError("per-point route used")
 
     for mod, name in [
         (fcctrig.interpolation, "map_chunks"),
-        (fcctrig.transforms, "map_chunks"),
         (fcctrig._parallel, "map_chunks"),
     ]:
         monkeypatch.setattr(mod, name, boom)

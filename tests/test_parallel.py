@@ -3,7 +3,6 @@ import pytest
 from fcctrig import _parallel
 from fcctrig._parallel import map_chunks, thread_count
 from fcctrig.interpolation import lebesgue_interp
-from fcctrig.transforms import lebesgue_Sn
 
 
 def test_thread_count_env(monkeypatch):
@@ -63,11 +62,10 @@ def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
 
 
 def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
-    # each scan splits into several chunks (16, 3 and 2), so two workers
-    # (on a host with two CPUs or more) really share them; the results
-    # must agree to the last bit
+    # lebesgue_interp is the one scan that threads; each scan below splits
+    # into several chunks (3 and 2), so two workers (on a host with two CPUs
+    # or more) really share them; the results must agree to the last bit
     scans = [
-        lambda: lebesgue_Sn(2, grid_per_axis=4, quad_order=64),
         lambda: lebesgue_interp(16, "lnstar", grid_per_axis=7),
         lambda: lebesgue_interp(16, "in", grid_per_axis=5),
     ]

@@ -320,18 +320,15 @@ def test_cubature_tetra_regular_matches_homogeneous(n):
         lambda: cubature_tetra(one, 2.5),
         lambda: fourier_coeffs(one, 2.5),
         lambda: fourier_coeffs(one, 2, quad_order=6.5),
-        lambda: lebesgue_Sn(2.5, 3, 8),
-        lambda: lebesgue_Sn(2, 3.5, 8),
-        lambda: lebesgue_Sn(2, 3, 8.5),
+        lambda: lebesgue_Sn(2.5, quad_order=8),
+        lambda: lebesgue_Sn(2, quad_order=8.5),
     ],
     ids=["unit_cell_points", "continuous_inner", "cubature_dodeca", "cubature_tetra",
-         "fourier_coeffs_n", "fourier_coeffs_q", "lebesgue_Sn_n", "lebesgue_Sn_grid",
-         "lebesgue_Sn_q"],
+         "fourier_coeffs_n", "fourier_coeffs_q", "lebesgue_Sn_n", "lebesgue_Sn_q"],
 )
 def test_non_integer_degree_or_grid_is_rejected(call):
-    # unit_cell_points(3.5) used to be a non-uniform 4^3 grid, so
-    # lebesgue_Sn(2, 3.5, 8) returned 4.2858; cubature_dodeca(one, 2.5)
-    # reported an index outside the closed node set
+    # unit_cell_points(3.5) used to be a non-uniform 4^3 grid;
+    # cubature_dodeca(one, 2.5) reported an index outside the closed node set
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 
@@ -340,7 +337,7 @@ def test_numpy_integer_degree_and_grid_give_the_same_numbers():
     i = np.int64
     assert np.array_equal(unit_cell_points(i(5)), unit_cell_points(5))
     assert cubature_dodeca(one, i(3)) == cubature_dodeca(one, 3)
-    assert lebesgue_Sn(i(2), i(3), i(8)) == lebesgue_Sn(2, 3, 8)
+    assert lebesgue_Sn(i(2), quad_order=i(8)) == lebesgue_Sn(2, quad_order=8)
     assert np.array_equal(fourier_coeffs(one, i(2), i(6)).box, fourier_coeffs(one, 2, 6).box)
 
 
@@ -473,9 +470,9 @@ def test_partial_sum_projection_idempotent():
 
 
 def test_lebesgue_Sn_small():
-    # coarse grids keep this cheap; the norm estimate exceeds 1 and grows
+    # a coarse rule keeps this cheap; the norm estimate exceeds 1 and grows
     # with the degree
-    vals = [lebesgue_Sn(n, grid_per_axis=5, quad_order=16) for n in (1, 2, 3)]
+    vals = [lebesgue_Sn(n, quad_order=16) for n in (1, 2, 3)]
     assert vals[0] > 1.0
     assert vals[0] < vals[1] < vals[2]
 
@@ -484,39 +481,60 @@ def test_lebesgue_Sn_small():
     "n, quad", [(1, 8), (2, 8), (3, 8), (4, 6), (5, 7), (2, 3), (6, 4), (3, 2)]
 )
 def test_lebesgue_Sn_matches_direct_oracle(n, quad):
-    # max over t of the mean over s of |D_n(t - s)| by explicit exponential
-    # sums; odd q, q < 2n + 1 (frequencies alias on the s-grid) and q = 2
+    # the mean over s of |D_n(t - s)| by explicit exponential sums, at t = 0
+    # and at two other points of the s-grid, where the rule is the same
+    # (translation invariance); odd q, q < 2n + 1 (frequencies alias on the
+    # s-grid) and q = 2
     s = unit_cell_points(quad)
-    want = max(
-        float(np.abs(dirichlet_direct(n, t - s)).mean()) for t in unit_cell_points(3)
-    )
-    assert abs(lebesgue_Sn(n, grid_per_axis=3, quad_order=quad) - want) < 1e-12 * want
+    got = lebesgue_Sn(n, quad_order=quad)
+    for t in s[[0, 1, -1]]:
+        want = float(np.abs(dirichlet_direct(n, t - s)).mean())
+        assert abs(got - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_lebesgue_Sn_slabs_match_the_direct_oracle(rows, monkeypatch):
+    # slabs of 1 and 3 rows u_0 (7 is not a multiple of 3) in place of one
+    import fcctrig.transforms
+
+    monkeypatch.setattr(fcctrig.transforms, "_CHUNK_ELEMENTS", rows * 7**2)
+    s = unit_cell_points(7)
+    want = float(np.abs(dirichlet_direct(3, -s)).mean())
+    assert abs(lebesgue_Sn(3, quad_order=7) - want) < 1e-12 * want
+
+
+def test_lebesgue_Sn_grid_argument_is_deprecated_and_ignored():
+    with pytest.warns(DeprecationWarning, match="grid_per_axis is ignored"):
+        assert lebesgue_Sn(4, 3, 24) == lebesgue_Sn(4, quad_order=24)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_lebesgue_Sn_rejects_degree_below_one(n):
     with pytest.raises(ValueError, match="degree must be >= 1"):
-        lebesgue_Sn(n, grid_per_axis=3, quad_order=8)
+        lebesgue_Sn(n, quad_order=8)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: lebesgue_Sn(2, grid_per_axis=3, quad_order=64),
-        lambda: lebesgue_Sn(16, grid_per_axis=9, quad_order=8),
+        lambda: lebesgue_Sn(2, quad_order=64),
+        lambda: lebesgue_Sn(16, quad_order=8),
+        lambda: lebesgue_Sn(2, quad_order=256),
         lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 5),
         lambda: fourier_coeffs(lambda t: np.exp(np.sin(2.0 * np.pi * t[..., 0])), 8)(
             dodeca_grid(20)
         ),
     ],
-    ids=["lebesgue_Sn", "lebesgue_Sn_wide_box", "fourier_coeffs", "partial_sum"],
+    ids=["lebesgue_Sn", "lebesgue_Sn_wide_box", "lebesgue_Sn_q256", "fourier_coeffs",
+         "partial_sum"],
 )
 def test_grid_sums_memory_is_bounded(call, monkeypatch):
-    # scratch is bounded per chunk and worker, not proportional to points x
-    # quadrature points or points x frequencies (about 1,080, 284 and
-    # 602 MiB that way); one worker keeps the peak independent of the CPU count.
-    # In the wide-box case 2n + 1 = 33 > q = 8, so a chunk sized by q^3 alone
-    # would form arrays of 729 x 8 x 33^2 complex numbers, 97 MiB each
+    # scratch is bounded per chunk, not proportional to the grid: fourier_coeffs
+    # and the partial sum would form points x frequencies matrices (about 284
+    # and 602 MiB), and lebesgue_Sn at q = 256 one 256^3 array (256 MiB)
+    # without its slabs of 16 rows u_0 (24 MiB measured).  In the wide-box
+    # case 2n + 1 = 33 > q = 8, so the box side sizes the slab; one worker
+    # keeps the peak independent of the CPU count
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
     tracemalloc.start()
     try:
