@@ -9,7 +9,6 @@ results do not depend on scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_count() -> int:
@@ -29,5 +28,8 @@ def map_chunks(fn, chunks) -> list:
     workers = min(thread_count(), os.cpu_count() or 1, max(len(chunks), 1))
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    # imported here, so importing the package loads no executor machinery
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, chunks))

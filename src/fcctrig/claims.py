@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .indexsets import (
-    class_sizes,
+    _star_sizes,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -55,7 +55,7 @@ def cardinalities(n: int) -> int:
 def weight_sums(n: int) -> Fraction:
     """|sum c - 4n^3| + |sum lambda - 4n^3| in rational arithmetic, over the
     weights c of H_n* and lambda of the tetrahedral nodes."""
-    sizes, counts = np.unique(class_sizes(generate_Hn_star(n), n), return_counts=True)
+    sizes, counts = np.unique(_star_sizes(n), return_counts=True)
     csum = sum(Fraction(c, s) for s, c in zip(sizes.tolist(), counts.tolist()))
     return abs(csum - 4 * n**3) + abs(int(lambda_weights(n).sum()) - 4 * n**3)
 
@@ -65,7 +65,7 @@ def orthonormality(n: int) -> float:
     average over H_n and under the weighted rule over H_n*."""
     hn, star = generate_Hn(n), generate_Hn_star(n)
     worst = 0.0
-    for nodes, w in ((hn, 1.0), (star, 1.0 / class_sizes(star, n))):
+    for nodes, w in ((hn, 1.0), (star, 1.0 / _star_sizes(n))):
         e = _phis(nodes, n, hn)
         gram = np.conj(e * np.reshape(w, (-1, 1))).T @ e / (4 * n**3)
         worst = max(worst, _err(gram, np.eye(len(hn))))
@@ -75,7 +75,7 @@ def orthonormality(n: int) -> float:
 def dodeca_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*."""
     star, big = generate_Hn_star(n), generate_Hn_star(2 * n - 1)
-    vals = (1.0 / class_sizes(star, n)) @ _phis(star, n, big) / (4 * n**3)
+    vals = (1.0 / _star_sizes(n)) @ _phis(star, n, big) / (4 * n**3)
     return _err(vals, np.all(big == 0, axis=1))
 
 

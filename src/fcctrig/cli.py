@@ -147,7 +147,7 @@ def cmd_nodes(args) -> int:
     n = args.n
     if args.set == "lambda":
         idx = indexsets.lambda_nodes(n)
-        keys = indexsets.lambdas(idx, n)
+        keys = indexsets.lambda_weights(n)
         label = lambda w: (indexsets.TETRA_STRATA[w], str(w), float(w))
     else:
         idx = {"hn": indexsets.generate_Hn, "hstar": indexsets.generate_Hn_star,

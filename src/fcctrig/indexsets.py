@@ -9,10 +9,17 @@ boundary.boundary_slots.  The weights are exact: the symmetric-rule weight
 c = 1/binom(|I|+|J|, |I|) is held as its integer denominator (a Fraction
 for one node) and the tetrahedral weight lambda is an integer; they convert
 to float only when a quadrature sum is actually formed.
+
+The node and frequency sets and the weights in their order are pure
+functions of the degree, built once per degree: each keeps the last
+_CACHED_DEGREES = 8 degrees asked for (least recently used out) and hands
+every caller the same read-only array; a caller that needs to write takes
+a ``.copy()``.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from math import comb
@@ -38,6 +45,31 @@ def _degree(n) -> int:
     return n
 
 
+# degrees each per-degree set or weight array keeps, least recently used out
+_CACHED_DEGREES = 8
+
+
+def _per_degree(fn):
+    """fn(n), computed once per degree and returned read-only.
+
+    n goes through _degree first, so 3 and np.int64(3) share one entry and
+    a bad degree raises on every call without being cached.
+    """
+
+    @functools.lru_cache(maxsize=_CACHED_DEGREES)
+    def cached(n: int) -> np.ndarray:
+        out = fn(n)
+        out.flags.writeable = False
+        return out
+
+    @functools.wraps(fn)
+    def per_degree(n):
+        return cached(_degree(n))
+
+    per_degree.cache_info = cached.cache_info
+    return per_degree
+
+
 def _from_reduced(kp: np.ndarray) -> np.ndarray:
     """Map reduced rows (..., 3) back to frequency rows (..., 4)."""
     kp = np.asarray(kp, dtype=np.int64)
@@ -56,24 +88,24 @@ def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
     return rows[order]
 
 
+@_per_degree
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
-    n = _degree(n)
     kk = _from_reduced(_box(-n + 1, n))
     d = _diffs(kk)
     return _lexsort_rows(kk[((d > -4 * n) & (d <= 4 * n)).all(axis=1)])
 
 
+@_per_degree
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
-    n = _degree(n)
     kk = _from_reduced(_box(-n, n))
     return _lexsort_rows(kk[(np.abs(_diffs(kk)) <= 4 * n).all(axis=1)])
 
 
+@_per_degree
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
-    n = _degree(n)
     kk = _from_reduced(_box(1 - n, n - 1))
     return _lexsort_rows(kk[(np.abs(_diffs(kk)) < 4 * n).all(axis=1)])
 
@@ -103,6 +135,12 @@ def class_sizes(kk, n: int) -> np.ndarray:
     """
     s = strata(kk, n)
     return _BINOM[s.sum(axis=1), s[:, 0]]
+
+
+@_per_degree
+def _star_sizes(n: int) -> np.ndarray:
+    """Class sizes of H_n*, in ``generate_Hn_star`` order."""
+    return class_sizes(generate_Hn_star(n), n)
 
 
 def lambdas(kk, n: int) -> np.ndarray:
@@ -150,20 +188,23 @@ def weight_lambda(k, n: int) -> int:
     return int(lambdas(hindex(k), n)[0])
 
 
+@_per_degree
 def lambda_nodes(n: int) -> np.ndarray:
     """Tetrahedral index set: monotone members of the star set, binom(n+3,3) rows."""
-    kp = _box(0, _degree(n))
+    kp = _box(0, n)
     a, b, c = kp.T
     return _from_reduced(kp[(a >= b) & (b >= c)])
 
 
+@_per_degree
 def lambda_circ_nodes(n: int) -> np.ndarray:
     """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4)."""
-    kp = _box(1, _degree(n) - 1)
+    kp = _box(1, n - 1)
     a, b, c = kp.T
     return _from_reduced(kp[(a > b) & (b > c)])
 
 
+@_per_degree
 def lambda_weights(n: int) -> np.ndarray:
     """Integer weights lambda of the tetrahedral nodes, in ``lambda_nodes`` order."""
     return lambdas(lambda_nodes(n), n)

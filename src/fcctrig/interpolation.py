@@ -54,7 +54,7 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
-    class_sizes,
+    _star_sizes,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -164,21 +164,22 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 
 
 # One row of the module docstring's table: node set of n, frequency set K of
-# n, weights w_k of (K, n), signs s_sigma of the first len(signs) rows of
-# PERM_TABLE (identity first), whether a_j = lambda_j, and the evaluation grid.
+# n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
+# first len(signs) rows of PERM_TABLE (identity first), whether a_j =
+# lambda_j, and the evaluation grid.
 _Kind = namedtuple("_Kind", "nodes freqs weights signs lam grid")
 
 
-def _star_weights(kk: np.ndarray, n: int) -> np.ndarray:
-    return 1.0 / (4 * n**3 * class_sizes(kk, n))
+def _star_weights(n: int) -> np.ndarray:
+    return 1.0 / (4 * n**3 * _star_sizes(n))
 
 
 _KINDS = {
-    "in": _Kind(generate_Hn, generate_Hn, lambda kk, n: 1.0 / (4 * n**3),
+    "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
                 np.ones(1), False, dodeca_grid),
     "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
                     np.ones(1), False, dodeca_grid),
-    "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda kk, n: 6.0 / n**3,
+    "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
                 PERM_SIGNS, False, tetra_grid),
     "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
                     np.ones(24), True, tetra_grid),
@@ -193,13 +194,18 @@ KINDS = tuple(_KINDS)
 class Interpolant:
     """Node values of one operator; calling it evaluates the kernel sum.
 
-    The first call builds ``poly`` and keeps it, so ``values`` must not be
-    mutated after construction.  == and hash are by identity."""
+    The first call builds ``poly`` and keeps it, so ``values`` is kept as a
+    read-only copy.  == and hash are by identity."""
 
     kind: str
     n: int
     nodes: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate at zero-sum points (..., 4); errors as in ``TrigPoly.__call__``."""
@@ -218,7 +224,7 @@ class Interpolant:
         # summed images onto themselves and keeps s_sigma
         c = sum(s * F[tuple((to_reduced(kk[:, p]) % size).T)]
                 for s, p in zip(spec.signs, PERM_TABLE))
-        return TrigPoly._place(kk, c * spec.weights(kk, n) / len(spec.signs), n)
+        return TrigPoly._place(kk, c * spec.weights(n) / len(spec.signs), n)
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
@@ -304,7 +310,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     kk = spec.freqs(n)
     kp = to_reduced(kk)
     cls = np.ravel_multi_index((kp.sum(axis=1) % size, kp[:, 0] % n, kp[:, 1] % n), group)
-    wvals, widx = np.unique(np.broadcast_to(spec.weights(kk, n), len(kk)), return_inverse=True)
+    wvals, widx = np.unique(np.broadcast_to(spec.weights(n), len(kk)), return_inverse=True)
     # per frequency: its row of the (k'_1, k'_2) exps and of the weighted
     # k'_3 exps; row d * d of the former is zero
     src = np.stack([(kp[:, 0] + n) * d + kp[:, 1] + n, widx * d + kp[:, 2] + n])
@@ -327,7 +333,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     at = np.ravel_multi_index((js[..., 2] % size, (js[..., 0] - js[..., 2]) // 4 % n,
                                (js[..., 1] - js[..., 2]) // 4 % n), group)
     signs = spec.signs / len(spec.signs)
-    factor = lambdas(nodes, n) if spec.lam else np.ones(len(nodes))
+    factor = lambda_weights(n) if spec.lam else np.ones(len(nodes))
     freq = 2j * np.pi * np.arange(-n, n + 1)
 
     def chunk(p: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import (
-    class_sizes,
+    _star_sizes,
     generate_Hn,
     generate_Hn_star,
     lambda_circ_nodes,
@@ -81,8 +81,8 @@ def inner_n(f, g, n: int) -> complex:
 
 def inner_n_star(f, g, n: int) -> complex:
     """Weighted node sum over the symmetric set with the boundary weights c."""
-    idx = generate_Hn_star(n)
-    return complex(_node_sum(f, g, idx, n, 1.0 / class_sizes(idx, n)) / (4 * n**3))
+    w = 1.0 / _star_sizes(n)
+    return complex(_node_sum(f, g, generate_Hn_star(n), n, w) / (4 * n**3))
 
 
 def inner_tetra(f, g, n: int) -> complex:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fcctrig.indexsets import (
+    _star_sizes,
     class_sizes,
     generate_Hn,
     generate_Hn_circ,
@@ -175,6 +176,42 @@ def test_weights_take_integer_degrees_only(call):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call(2.5)
     assert call(np.int64(3)) == call(3)
+
+
+SETS = [generate_Hn, generate_Hn_star, generate_Hn_circ, lambda_nodes, lambda_circ_nodes]
+PER_DEGREE = SETS + [lambda_weights, _star_sizes]
+
+
+@pytest.mark.parametrize("fn", PER_DEGREE, ids=lambda fn: fn.__name__)
+def test_per_degree_arrays_are_shared_and_read_only(fn):
+    a = fn(5)
+    assert fn(5) is a and fn(np.int64(5)) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0
+    # a bad degree is never cached: it raises on every call
+    for bad, err in ((2.5, TypeError), (0, ValueError)):
+        for _ in range(2):
+            with pytest.raises(err):
+                fn(bad)
+
+
+@pytest.mark.parametrize("fn", PER_DEGREE, ids=lambda fn: fn.__name__)
+def test_per_degree_cache_keeps_at_most_eight_degrees(fn):
+    for n in range(1, 21):
+        fn(n)
+        assert fn.cache_info().currsize <= 8
+    assert fn.cache_info().currsize == 8
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_memoized_sets_and_weights_equal_fresh_ones(n):
+    fresh = {fn: fn.__wrapped__(n) for fn in SETS}
+    fresh[lambda_weights] = lambdas(fresh[lambda_nodes], n)
+    fresh[_star_sizes] = class_sizes(fresh[generate_Hn_star], n)
+    for fn, want in fresh.items():
+        got = fn(n)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), fn.__name__
+        assert got.tobytes() == want.tobytes(), fn.__name__
 
 
 @pytest.mark.parametrize("n", NS)

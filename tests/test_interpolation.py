@@ -271,6 +271,19 @@ def test_coefficient_box_is_built_once(monkeypatch):
     assert np.array_equal(first[:5], second)
 
 
+def test_node_values_are_a_read_only_copy():
+    # poly is built once from values, so values must not change under it
+    data = np.arange(len(node_set("lnstar", 2)), dtype=float)
+    I = interp_Ln_star(lambda t: data, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        I.values[0] = 1.0
+    data[0] = 99.0  # the array f returned stays the caller's, and writable
+    assert I.values[0] == 0.0
+    table = {tuple(k): 1.0 for k in node_set("lnstar", 2).tolist()}
+    with pytest.raises(ValueError, match="read-only"):
+        from_node_values("lnstar", 2, table).values[0] = 2.0
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_interp_In_star_node_behavior(n):
     # interior nodes interpolate; boundary nodes carry the plain sum of the

@@ -1,3 +1,9 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fcctrig import _parallel
@@ -33,7 +39,8 @@ def test_map_chunks_preserves_order(monkeypatch):
 
 
 def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
-    # the stub pool runs the map inline, so no thread is ever started
+    # the stub pool runs the map inline, so no thread is ever started;
+    # map_chunks imports the pool class from concurrent.futures when it needs it
     requested = []
 
     class StubPool:
@@ -49,7 +56,7 @@ def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", StubPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", StubPool)
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("FCC_TRIG_THREADS", "64")
     chunks = list(range(10))
@@ -59,6 +66,17 @@ def test_map_chunks_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(_parallel.os, "cpu_count", lambda: 1)
     assert map_chunks(lambda c: c + 1, chunks) == [c + 1 for c in chunks]
     assert requested == [2]
+
+
+def test_importing_the_cli_loads_no_executor():
+    # a fresh interpreter pays for concurrent.futures (and the logging and
+    # queue modules it pulls in) only once a scan really starts threads
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, fcctrig.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
