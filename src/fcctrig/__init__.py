@@ -61,7 +61,6 @@ from .lattice import (
 from .symmetry import G_MINUS, G_PLUS, orbit, project_minus, project_plus
 from .tetra import (
     in_tetra_H,
-    in_tetra_regular,
     index_h_to_regular,
     index_regular_to_h,
     point_h_to_regular,

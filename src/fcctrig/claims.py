@@ -25,7 +25,7 @@ from .indexsets import (
     stratum_counts,
 )
 from . import kernels
-from .interpolation import BUILDERS, node_set
+from .interpolation import BUILDERS
 from .transforms import cubature_tetra
 from .trigbasis import tc, tc_direct, ts, ts_direct
 
@@ -113,10 +113,10 @@ def interpolation_condition(kind: str, n: int, f) -> float:
     an empty node set (``ln`` below degree 4).  For ``instar`` the target at
     a node is the sum of f over its congruence class, the nodes that share
     j[:3] mod 4n."""
-    nodes = node_set(kind, n)
-    pts = nodes / (4.0 * n)
+    interp = BUILDERS[kind](f, n)
+    pts = interp.nodes / (4.0 * n)
     want = np.asarray(f(pts), dtype=float)
     if kind == "instar":
-        _, cls = np.unique(nodes[:, :3] % (4 * n), axis=0, return_inverse=True)
+        _, cls = np.unique(interp.nodes[:, :3] % (4 * n), axis=0, return_inverse=True)
         want = np.bincount(cls, weights=want)[cls]
-    return _err(BUILDERS[kind](f, n)(pts), want)
+    return _err(interp(pts), want)

@@ -1,10 +1,10 @@
 """The four interpolation operators and their Lebesgue constants.
 
-An interpolant stores the raw node values and is a kernel sum over the
-nodes (no linear solve exists or is needed, the operators are
-diagonal in node space).  Every fundamental function is a weighted
-exponential sum over a frequency set K, averaged over images j sigma of
-its node j under S4:
+An interpolant is its kind, its degree n and its node values: the nodes
+are ``node_set(kind, n)``, and it is a kernel sum over them (no linear
+solve exists or is needed, the operators are diagonal in node space).
+Every fundamental function is a weighted exponential sum over a frequency
+set K, averaged over images j sigma of its node j under S4:
 ell_j(t) = a_j mean_sigma s_sigma sum_k w_k phi_k(t - j sigma / 4n).
 
 ==========  ====================  ========  ========  ============  ========
@@ -61,21 +61,20 @@ from .indexsets import (
     lambda_circ_nodes,
     lambda_nodes,
     lambda_weights,
-    lambdas,
     to_reduced,
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
 from .lattice import _box, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import _CHUNK_ELEMENTS, TrigPoly, _finite, _sample, unit_cell_points
+from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
     """The operator's nodes; ValueError for an unknown kind or a degree it lacks."""
     if kind not in _KINDS:
         raise ValueError(f"unknown interpolation kind {kind!r}")
-    if kind == "ln" and n < 2:
+    if kind == "ln" and operator.index(n) < 2:
         raise ValueError("sine interpolation needs degree >= 2")
     return _KINDS[kind].nodes(n)
 
@@ -165,9 +164,9 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 
 # One row of the module docstring's table: node set of n, frequency set K of
 # n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
-# first len(signs) rows of PERM_TABLE (identity first), whether a_j =
-# lambda_j, and the evaluation grid.
-_Kind = namedtuple("_Kind", "nodes freqs weights signs lam grid")
+# first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
+# n (a scalar or one per node), and the evaluation grid.
+_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid")
 
 
 def _star_weights(n: int) -> np.ndarray:
@@ -176,13 +175,13 @@ def _star_weights(n: int) -> np.ndarray:
 
 _KINDS = {
     "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
-                np.ones(1), False, dodeca_grid),
+                np.ones(1), lambda n: 1.0, dodeca_grid),
     "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
-                    np.ones(1), False, dodeca_grid),
+                    np.ones(1), lambda n: 1.0, dodeca_grid),
     "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
-                PERM_SIGNS, False, tetra_grid),
+                PERM_SIGNS, lambda n: 1.0, tetra_grid),
     "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
-                    np.ones(24), True, tetra_grid),
+                    np.ones(24), lambda_weights, tetra_grid),
 }
 KINDS = tuple(_KINDS)
 
@@ -192,20 +191,34 @@ KINDS = tuple(_KINDS)
 
 @dataclass(frozen=True, eq=False)
 class Interpolant:
-    """Node values of one operator; calling it evaluates the kernel sum.
+    """The operator ``kind`` of degree n with one value per node of
+    ``node_set(kind, n)``; calling it evaluates the kernel sum.
 
-    The first call builds ``poly`` and keeps it, so ``values`` is kept as a
-    read-only copy.  == and hash are by identity."""
+    Construction is where the values are checked: an unknown kind or a
+    degree the kind lacks is a ValueError (a non-integer degree a
+    TypeError), and so are values of another shape than (len(nodes),) and
+    values that are not finite.  A scalar is taken at every node, as the
+    builders take one from f.  The values are kept as a read-only copy in
+    their dtype but at least float (complex for an object array, e.g. of
+    Fractions).  The first call builds ``poly`` and keeps it.  == and hash
+    are by identity."""
 
     kind: str
     n: int
-    nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values)
+        nodes, where = self.nodes, f"the {self.kind!r} nodes of degree {self.n}"
+        values = np.array(_sample(lambda _: self.values, nodes, where, nodes,
+                                  name="node values have"))
         values.flags.writeable = False
+        object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "values", values)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """``node_set(kind, n)``: the memoized read-only node array."""
+        return node_set(self.kind, self.n)
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate at zero-sum points (..., 4); errors as in ``TrigPoly.__call__``."""
@@ -215,9 +228,9 @@ class Interpolant:
     def poly(self) -> TrigPoly:
         """The interpolant as its (2n+1)^3 coefficient box (module docstring)."""
         spec, n, size = _KINDS[self.kind], self.n, 4 * self.n
-        a = self.values * lambdas(self.nodes, n) if spec.lam else self.values
         F = np.zeros(size**3, dtype=complex)
-        np.add.at(F, (self.nodes[:, :3] % size) @ [size * size, size, 1], a)
+        np.add.at(F, (self.nodes[:, :3] % size) @ [size * size, size, 1],
+                  self.values * spec.factor(n))
         F = np.fft.fftn(F.reshape(size, size, size))
         kk = spec.freqs(n)
         # phi_k(j sigma) = phi_{k sigma^-1}(j), and sigma -> sigma^-1 maps the
@@ -228,10 +241,8 @@ class Interpolant:
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
-    """Sample f at the nodes with ``transforms._sample``."""
-    nodes = node_set(kind, n)
-    values = _sample(f, nodes / (4.0 * n), f"the {kind!r} nodes of degree {n}", nodes)
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=values)
+    """f sampled at the nodes, checked by the ``Interpolant`` it builds."""
+    return Interpolant(kind, n, f(node_set(kind, n) / (4.0 * n)))
 
 
 def interp_In(f, n: int) -> Interpolant:
@@ -272,8 +283,7 @@ def from_node_values(kind: str, n: int, values: dict) -> Interpolant:
             f"node values do not match the {kind!r} node set for degree {n}: "
             f"expected {len(want)} nodes, got {len(got)}"
         )
-    vals = np.array([values[k] for k in want], dtype=complex)
-    return Interpolant(kind=kind, n=n, nodes=nodes, values=_finite(vals, nodes))
+    return Interpolant(kind, n, [values[k] for k in want])
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +343,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     at = np.ravel_multi_index((js[..., 2] % size, (js[..., 0] - js[..., 2]) // 4 % n,
                                (js[..., 1] - js[..., 2]) // 4 % n), group)
     signs = spec.signs / len(spec.signs)
-    factor = lambda_weights(n) if spec.lam else np.ones(len(nodes))
+    factor = np.full(len(nodes), spec.factor(n), dtype=float)
     freq = 2j * np.pi * np.arange(-n, n + 1)
 
     def chunk(p: np.ndarray) -> float:

@@ -10,7 +10,10 @@ Three coordinatizations of the same simplex show up:
   projection, cut out by 0 <= x3 +- x2 <= 1 and 0 <= x2 +- x1 <= 1.
 
 The interpolation and cubature operators live on the homogeneous form;
-this module moves data to and from the other two.
+this module moves data to and from the other two.  Membership has one
+test, ``in_tetra_H``; a point of another chart goes through that chart's
+map first: ``in_tetra_H(point_regular_to_h(x))`` for regular points and
+``in_tetra_H(lattice.to_homogeneous(x))`` for Cartesian ones.
 """
 
 from __future__ import annotations
@@ -38,54 +41,35 @@ def index_regular_to_h(k) -> np.ndarray:
     return _from_reduced(k)
 
 
+def _points(x, d: int, chart: str) -> np.ndarray:
+    """x as floats of shape (..., d); ValueError for another last axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ValueError(f"{chart} points need {d} coordinates, got shape {x.shape}")
+    return x
+
+
 def point_h_to_regular(t) -> np.ndarray:
     """x_i = t_i - t_4 maps the homogeneous simplex onto 0 <= x3 <= x2 <= x1 <= 1."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t, 4, "homogeneous")
     return t[..., :3] - t[..., 3:]
 
 
 def point_regular_to_h(x) -> np.ndarray:
     """Homogenize regular coordinates (..., 3): append t_4 = -(x1+x2+x3)/4."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != 3:
-        raise ValueError(f"regular points need 3 coordinates, got shape {x.shape}")
+    x = _points(x, 3, "regular")
     t4 = -x.sum(axis=-1, keepdims=True) / 4.0
     return np.concatenate([x + t4, t4], axis=-1)
 
 
 def in_tetra_H(t) -> np.ndarray:
-    """Closed homogeneous simplex membership."""
-    t = np.asarray(t, dtype=float)
+    """Closed homogeneous simplex membership of points (..., 4)."""
+    t = _points(t, 4, "homogeneous")
     g1 = t[..., 0] - t[..., 1]
     g2 = t[..., 1] - t[..., 2]
     g3 = t[..., 2] - t[..., 3]
     top = t[..., 0] - t[..., 3]
     return (g1 >= -TETRA_TOL) & (g2 >= -TETRA_TOL) & (g3 >= -TETRA_TOL) & (top <= 1.0 + TETRA_TOL)
-
-
-def in_tetra_regular(x) -> np.ndarray:
-    """Closed corner-simplex membership, 0 <= x3 <= x2 <= x1 <= 1."""
-    x = np.asarray(x, dtype=float)
-    return (
-        (x[..., 2] >= -TETRA_TOL)
-        & (x[..., 1] >= x[..., 2] - TETRA_TOL)
-        & (x[..., 0] >= x[..., 1] - TETRA_TOL)
-        & (x[..., 0] <= 1.0 + TETRA_TOL)
-    )
-
-
-def in_tetra_cartesian(x) -> np.ndarray:
-    """Membership in the Cartesian image: 0 <= x3 +- x2 <= 1, 0 <= x2 +- x1 <= 1."""
-    x = np.asarray(x, dtype=float)
-    ok = np.ones(x.shape[:-1], dtype=bool)
-    for expr in (
-        x[..., 2] - x[..., 1],
-        x[..., 2] + x[..., 1],
-        x[..., 1] - x[..., 0],
-        x[..., 1] + x[..., 0],
-    ):
-        ok &= (expr >= -TETRA_TOL) & (expr <= 1.0 + TETRA_TOL)
-    return ok
 
 
 def regular_interpolate(f3, n: int, x) -> np.ndarray:

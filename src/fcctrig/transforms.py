@@ -42,11 +42,11 @@ def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.
     return values
 
 
-def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what="node value", name="f"):
-    """The function name, f, at the N points pts, in f's dtype but at least
-    float (complex for an object array, e.g. of Fractions).  A scalar is taken
-    at every point; another shape than (N,) is a ValueError naming where, as is
-    a value that is not finite, named by what and its row of at."""
+def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what="node value", name="f returned"):
+    """f at the N points pts, in f's dtype but at least float (complex for an
+    object array, e.g. of Fractions).  A scalar is taken at every point;
+    another shape than (N,) is a ValueError that says name and where, as is a
+    value that is not finite, named by what and its row of at."""
     values = np.asarray(f(pts))
     dtype = np.result_type(values.dtype, float)
     values = values.astype(dtype if dtype.kind in "fc" else complex, copy=False)
@@ -54,7 +54,7 @@ def _sample(f, pts: np.ndarray, where: str, at: np.ndarray, what="node value", n
         values = np.full(len(pts), values)
     elif values.shape != (len(pts),):
         raise ValueError(
-            f"{name} returned shape {values.shape} at {where}, expected ({len(pts)},) or a scalar"
+            f"{name} shape {values.shape} at {where}, expected ({len(pts)},) or a scalar"
         )
     return _finite(values, at, what)
 
@@ -67,7 +67,7 @@ def one(t) -> np.ndarray:
 def _pair(f, g, pts: np.ndarray, where: str, at: np.ndarray):
     """f conj(g) at the points pts, both sampled with ``_sample``."""
     fv = _sample(f, pts, where, at, "value of f")
-    return fv * np.conj(_sample(g, pts, where, at, "value of g", name="g"))
+    return fv * np.conj(_sample(g, pts, where, at, "value of g", name="g returned"))
 
 
 def _node_sum(f, g, idx: np.ndarray, n: int, w=1.0):

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,7 +182,7 @@ def test_interp_In_factorized_matches_kernel_sum(kind, n):
     rng = np.random.default_rng(44)
     nodes = node_set(kind, n)
     vals = rng.standard_normal(len(nodes)) + 1j * rng.standard_normal(len(nodes))
-    I = Interpolant(kind=kind, n=n, nodes=nodes, values=vals)
+    I = Interpolant(kind=kind, n=n, values=vals)
     t = np.vstack(
         [rand_t(rng, 30), singular_probes(rng, 10), nodes[:10].astype(float) / (4.0 * n)]
     )
@@ -282,6 +284,64 @@ def test_node_values_are_a_read_only_copy():
     table = {tuple(k): 1.0 for k in node_set("lnstar", 2).tolist()}
     with pytest.raises(ValueError, match="read-only"):
         from_node_values("lnstar", 2, table).values[0] = 2.0
+
+
+# a degree with nodes for each kind (ln has none below degree 4)
+CONTRACT_DEGREE = {"in": 2, "instar": 2, "ln": 5, "lnstar": 2}
+
+
+def test_interpolant_is_its_kind_degree_and_values():
+    assert [f.name for f in dataclasses.fields(Interpolant)] == ["kind", "n", "values"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolant_nodes_are_the_memoized_node_set(kind):
+    n = CONTRACT_DEGREE[kind]
+    I = Interpolant(kind, np.int64(n), np.ones(len(node_set(kind, n))))
+    assert I.nodes is node_set(kind, n) and type(I.n) is int
+    with pytest.raises(ValueError, match="read-only"):
+        I.nodes[0, 0] = 1
+    with pytest.raises(AttributeError):
+        I.nodes = node_set(kind, n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolant_rejects_bad_values_when_built(kind):
+    # each of these used to build, and then gave NaN or wrong output, or a
+    # broadcast error only at the first call
+    n = CONTRACT_DEGREE[kind]
+    m = len(node_set(kind, n))
+    for values in (np.ones(m + 1), np.ones((m, 1)), np.ones(len(node_set(kind, n - 1)))):
+        with pytest.raises(ValueError, match=rf"node values have shape .* expected \({m},\)"):
+            Interpolant(kind, n, values)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        values = np.ones(m, dtype=complex)
+        values[-1] = bad
+        at = tuple(node_set(kind, n)[-1].tolist())
+        with pytest.raises(ValueError, match=rf"node value at \({at[0]}, .* is not finite"):
+            Interpolant(kind, n, values)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolant_rejects_a_bad_kind_or_degree_when_built(kind):
+    m = len(node_set(kind, CONTRACT_DEGREE[kind]))
+    with pytest.raises(ValueError, match="unknown interpolation kind"):
+        Interpolant(kind.upper(), CONTRACT_DEGREE[kind], np.ones(m))
+    with pytest.raises(ValueError, match="degree"):
+        Interpolant(kind, 0, np.ones(m))
+    for n in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Interpolant(kind, n, np.ones(m))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interpolant_takes_fractions_as_sampling_does(kind):
+    n = CONTRACT_DEGREE[kind]
+    m = len(node_set(kind, n))
+    exact = Interpolant(kind, n, np.array([Fraction(j, 7) for j in range(m)], dtype=object))
+    assert exact.values.dtype == np.complex128
+    t = tetra_grid(3)
+    assert np.array_equal(exact(t), Interpolant(kind, n, np.arange(m) / 7 + 0j)(t))
 
 
 @pytest.mark.parametrize("n", [2, 3])

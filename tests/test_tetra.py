@@ -3,10 +3,10 @@ import pytest
 
 from fcctrig.indexsets import lambda_nodes, to_reduced
 from fcctrig.interpolation import interp_Ln_star, tetra_grid
+from fcctrig.lattice import from_homogeneous, to_homogeneous
 from fcctrig.tetra import (
+    TETRA_TOL,
     in_tetra_H,
-    in_tetra_cartesian,
-    in_tetra_regular,
     index_h_to_regular,
     index_regular_to_h,
     point_h_to_regular,
@@ -47,27 +47,58 @@ def test_point_maps_round_trip():
     assert np.abs(point_h_to_regular(point_regular_to_h(x)) - x).max() < 1e-12
 
 
-def test_membership_consistency_across_charts():
-    from fcctrig.lattice import from_homogeneous
+def in_regular(x):
+    """Membership in the regular chart, through its map to the homogeneous one."""
+    return in_tetra_H(point_regular_to_h(x))
 
+
+def in_cartesian(x):
+    """Membership in the Cartesian chart, through its map to the homogeneous one."""
+    return in_tetra_H(to_homogeneous(x))
+
+
+def test_membership_consistency_across_charts():
     rng = np.random.default_rng(61)
     x = rng.uniform(-0.3, 1.3, size=(500, 3))
     t = point_regular_to_h(x)
-    assert np.array_equal(in_tetra_regular(x), in_tetra_H(t))
-    # the Cartesian region is the projection of the homogeneous simplex
-    assert np.array_equal(in_tetra_cartesian(from_homogeneous(t)), in_tetra_H(t))
+    # the corner simplex 0 <= x3 <= x2 <= x1 <= 1, written out
+    corner = ((x[:, 2] >= -TETRA_TOL) & (x[:, 1] >= x[:, 2] - TETRA_TOL)
+              & (x[:, 0] >= x[:, 1] - TETRA_TOL) & (x[:, 0] <= 1.0 + TETRA_TOL))
+    assert np.array_equal(in_regular(x), corner)
+    assert np.array_equal(in_tetra_H(t), corner)
+    # the Cartesian region is the projection of the homogeneous simplex,
+    # cut out by 0 <= x3 +- x2 <= 1 and 0 <= x2 +- x1 <= 1
+    c = from_homogeneous(t)
+    cut = np.stack([c[:, 2] - c[:, 1], c[:, 2] + c[:, 1], c[:, 1] - c[:, 0], c[:, 1] + c[:, 0]])
+    inside = ((cut >= -TETRA_TOL) & (cut <= 1.0 + TETRA_TOL)).all(axis=0)
+    assert np.array_equal(in_cartesian(c), inside)
+    assert np.array_equal(in_cartesian(c), in_tetra_H(t))
+
+
+@pytest.mark.parametrize(
+    "call, shape",
+    [(in_tetra_H, (5, 3)), (in_tetra_H, (5, 5)), (in_tetra_H, ()),
+     (point_h_to_regular, (5, 1)), (point_h_to_regular, (5, 3)), (point_h_to_regular, ()),
+     (in_regular, (5, 4)), (in_cartesian, (5, 4))],
+)
+def test_membership_and_chart_maps_check_the_last_axis(call, shape):
+    # in_tetra_H used to raise IndexError on (5, 3), point_h_to_regular to
+    # return shape (5, 0) on (5, 1), and the regular and Cartesian tests to
+    # accept 4 columns
+    with pytest.raises(ValueError, match="coordinates|mismatch"):
+        call(np.zeros(shape))
 
 
 def test_tetra_grid_is_inside():
     pts = tetra_grid(6)
     assert in_tetra_H(pts).all()
-    assert in_tetra_regular(point_h_to_regular(pts)).all()
+    assert in_regular(point_h_to_regular(pts)).all()
 
 
 def test_node_points_inside_regular_simplex():
     n = 3
     xs = to_reduced(lambda_nodes(n)).astype(float) / n
-    assert in_tetra_regular(xs).all()
+    assert in_regular(xs).all()
     assert (xs >= 0).all() and (xs <= 1).all()
 
 
@@ -80,9 +111,9 @@ def test_cartesian_region_vertices():
             [-0.5, 0.5, 0.5],
         ]
     )
-    assert in_tetra_cartesian(verts).all()
+    assert in_cartesian(verts).all()
     outside = np.array([[0.6, 0.5, 0.5], [0.0, 0.0, 1.1], [0.0, -0.1, 0.0]])
-    assert not in_tetra_cartesian(outside).any()
+    assert not in_cartesian(outside).any()
 
 
 def test_regular_interpolate_matches_homogeneous_route():
@@ -93,7 +124,7 @@ def test_regular_interpolate_matches_homogeneous_route():
 
     rng = np.random.default_rng(62)
     x = rng.uniform(0, 1, size=(40, 3))
-    x = x[in_tetra_regular(x)]
+    x = x[in_regular(x)]
     got = regular_interpolate(f3, n, x)
 
     def f4(t):
