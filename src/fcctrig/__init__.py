@@ -62,7 +62,6 @@ from .symmetry import G_MINUS, G_PLUS, orbit, project_minus, project_plus
 from .tetra import (
     in_tetra_H,
     index_h_to_regular,
-    index_regular_to_h,
     point_h_to_regular,
     point_regular_to_h,
     regular_interpolate,

@@ -152,7 +152,7 @@ def cmd_nodes(args) -> int:
     else:
         idx = {"hn": indexsets.generate_Hn, "hstar": indexsets.generate_Hn_star,
                "hcirc": indexsets.generate_Hn_circ}[args.set](n)
-        keys = indexsets.stratum_keys(idx, n)
+        keys = indexsets._star_keys(n) if args.set == "hstar" else indexsets.stratum_keys(idx, n)
 
         def label(key):
             a, b = divmod(key, 4)
@@ -175,9 +175,7 @@ def cmd_nodes(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    n, name = args.n, args.f
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n, name = indexsets._degree(args.n), args.f
     if name == "phi":
         fn = _builtin("phi", _parse_k(args.k) if args.k else None)
     else:
@@ -280,9 +278,7 @@ def cmd_lebesgue(args) -> int:
 def cmd_verify(args) -> int:
     """One PASS/FAIL line per claim at degree --n.  An exact claim (tolerance
     None) passes when it measures 0, the others below their tolerance."""
-    n, m = args.n, max(args.n, 4)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    n, m = indexsets._degree(args.n), max(args.n, 4)
     t = np.random.default_rng(20240901).uniform(-1.0, 1.0, size=(50, 4))
     t -= t.mean(axis=1, keepdims=True)
     expsin = _builtin("expsin", None)

@@ -138,9 +138,16 @@ def class_sizes(kk, n: int) -> np.ndarray:
 
 
 @_per_degree
+def _star_keys(n: int) -> np.ndarray:
+    """Stratum keys of H_n*, in ``generate_Hn_star`` order."""
+    return stratum_keys(generate_Hn_star(n), n)
+
+
+@_per_degree
 def _star_sizes(n: int) -> np.ndarray:
     """Class sizes of H_n*, in ``generate_Hn_star`` order."""
-    return class_sizes(generate_Hn_star(n), n)
+    a, b = np.divmod(_star_keys(n), 4)
+    return _BINOM[a + b, a]
 
 
 def lambdas(kk, n: int) -> np.ndarray:
@@ -170,7 +177,7 @@ def weight_c(k, n: int) -> Fraction:
 
 def stratum_counts(n: int) -> dict:
     """Map (|I|, |J|) -> number of nodes in that stratum of the star set."""
-    keys, counts = np.unique(stratum_keys(generate_Hn_star(n), n), return_counts=True)
+    keys, counts = np.unique(_star_keys(n), return_counts=True)
     return {divmod(key, 4): c for key, c in zip(keys.tolist(), counts.tolist())}
 
 

@@ -65,7 +65,7 @@ from .indexsets import (
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
-from .lattice import _box, fold_to_omega_H, hindex
+from .lattice import _box, _points, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, unit_cell_points
 from .trigbasis import tc, ts
@@ -90,7 +90,7 @@ def ell_circ(j, n: int, t) -> np.ndarray:
     shifted to the node j/(4n).
     """
     j = hindex(j)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     imgs = t[..., PERM_TABLE] - j.astype(float) / (4.0 * n)
     vals = theta_n(n, imgs) - theta_n(n - 1, imgs)
     return (vals * PERM_SIGNS).sum(axis=-1) * (6.0 / n**3) / 24.0
@@ -99,7 +99,7 @@ def ell_circ(j, n: int, t) -> np.ndarray:
 def ell_circ_ts_sum(j, n: int, t) -> np.ndarray:
     """Oracle: (144/n^3) sum over interior indices of TS_k(t) conj(TS_k(node))."""
     j = hindex(j)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     pt = j.astype(float) / (4.0 * n)
     total = 0.0
     for k in lambda_circ_nodes(n):
@@ -111,7 +111,7 @@ def ell_tri(j, n: int, t) -> np.ndarray:
     """Cosine-type fundamental function: lambda_j P+ Phi_n*(t - node)."""
     j = hindex(j)
     lam = weight_lambda(j, n)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     imgs = t[..., PERM_TABLE] - j.astype(float) / (4.0 * n)
     return lam * phi_n_star(n, imgs).mean(axis=-1)
 
@@ -121,7 +121,7 @@ def ell_tri_tc_sum(j, n: int, t) -> np.ndarray:
     lambda_k TC_k(t) conj(TC_k(node))."""
     j = hindex(j)
     lam_j = weight_lambda(j, n)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     pt = j.astype(float) / (4.0 * n)
     total = 0.0
     for k, lam_k in zip(lambda_nodes(n), lambda_weights(n).tolist()):

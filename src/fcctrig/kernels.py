@@ -7,7 +7,7 @@ interpolation, the Lebesgue scans and Fourier coefficients work on
 coefficient boxes, FFTs of node or cell samples and the node group
 (``interpolation``, ``transforms``), and the compact and direct forms are
 their oracles.  All kernels accept arrays of points of shape (..., 4) and
-broadcast.
+broadcast; ``lattice._points`` rejects any other last axis.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node
@@ -25,7 +25,7 @@ import operator
 import numpy as np
 
 from .indexsets import _degree, class_sizes, generate_Hn, generate_Hn_star, strata
-from .lattice import _PAIRS
+from .lattice import _PAIRS, _points
 
 SING_TOL = 1e-8
 
@@ -51,7 +51,7 @@ def K_n(n: int, t) -> np.ndarray:
 
 def theta_n(n: int, t) -> np.ndarray:
     """Product of the four coordinate sine ratios, integer n; theta_0 vanishes."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     return np.prod(sine_ratio(operator.index(n), t), axis=-1)
 
 
@@ -62,7 +62,7 @@ def dirichlet(n: int, t) -> np.ndarray:
 
 def dirichlet_product(n: int, t) -> np.ndarray:
     """Dirichlet kernel as prod K_n(t_j) - prod (K_n(t_j) - 1)."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     kt = K_n(n, t)
     return np.prod(kt, axis=-1) - np.prod(kt - 1.0, axis=-1)
 
@@ -70,7 +70,7 @@ def dirichlet_product(n: int, t) -> np.ndarray:
 def _expsum(kk: np.ndarray, t) -> np.ndarray:
     """phi_k(t) = exp(i pi k.t / 2) for points t (rows) and frequencies kk
     (columns); the one exponential matrix of every direct sum."""
-    return np.exp(0.5j * np.pi * (np.asarray(t, dtype=float) @ kk.astype(float).T))
+    return np.exp(0.5j * np.pi * (_points(t) @ kk.astype(float).T))
 
 
 def dirichlet_direct(n: int, t) -> np.ndarray:
@@ -93,7 +93,7 @@ def edge_sum(n: int, t) -> np.ndarray:
     Equals sum of phi_k over the nodes with (|I|, |J|) in {(1,2), (2,1)}:
     2 * sum_nu sine_ratio(n-1, t_nu) * sum_{j != nu} cos(n*pi*(2 t_j + t_nu)).
     """
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     total = 0.0
     for nu in range(4):
         sr = sine_ratio(n - 1, t[..., nu])
@@ -119,7 +119,7 @@ def phi_n_star(n: int, t) -> np.ndarray:
                - (1/3) sum_{mu<nu} cos(2 pi n (t_mu + t_nu)) ].
     """
     n = _degree(n)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     body = 0.5 * (dirichlet(n, t) + dirichlet(n - 1, t))
     body = body - edge_sum(n, t) / 6.0
     c2 = np.cos(2.0 * np.pi * n * t).sum(axis=-1)

@@ -12,6 +12,11 @@ frequency k is phi(k, t) = exp(i*pi/2 * k.t).
 The fundamental domain Omega_H is the rhombic dodecahedron in homogeneous
 coordinates, half open: -1 < t_i - t_j <= 1 for all i < j.
 
+Every entry point of the package that takes points checks them through
+``_points(x, d, chart)``: they become floats whose last axis holds the
+chart's d coordinates (4 homogeneous, 3 Cartesian or regular), and any
+other last axis is a ValueError that names the chart.
+
 Every node and frequency set, evaluation grid and fold shift list is read
 off ``_box(lo, hi)``, the one enumeration of integer triples, and every such
 difference test runs over ``_PAIRS``, the one list of pairs i < j: the node
@@ -38,6 +43,14 @@ U_MATRIX = 0.5 * np.array(
 _A_INV = np.linalg.inv(A_MATRIX.astype(float))
 
 
+def _points(x, d: int = 4, chart: str = "homogeneous") -> np.ndarray:
+    """x as floats of shape (..., d); ValueError naming the chart for another last axis."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise ValueError(f"{chart} points need {d} coordinates, got shape {x.shape}")
+    return x
+
+
 def homo_point(values) -> np.ndarray:
     """Build homogeneous coordinates from 4 reals, shape (..., 4).
 
@@ -45,45 +58,33 @@ def homo_point(values) -> np.ndarray:
     the coordinate mean, so small drift from composed arithmetic cannot
     accumulate.
     """
-    t = np.asarray(values, dtype=float)
-    if t.shape[-1] != 4:
-        raise ValueError("homogeneous points need 4 components")
+    t = _points(values)
     return t - t.mean(axis=-1, keepdims=True)
 
 
-def is_hindex(values) -> bool:
-    """True if values is a frequency index: integer, zero-sum, congruent mod 4."""
-    k = np.asarray(values)
-    if k.shape != (4,) or not np.issubdtype(k.dtype, np.integer):
-        return False
-    if int(k.sum()) != 0:
-        return False
-    r = np.mod(k - k[0], 4)
-    return bool(np.all(r == 0))
-
-
 def hindex(values) -> np.ndarray:
-    """Validate and return a frequency index as an int64 array of shape (4,)."""
+    """Validate and return a frequency index as an int64 array of shape (4,):
+    integer entries that sum to zero and are congruent mod 4."""
     k = np.asarray(values)
     if k.shape != (4,):
         raise ValueError("frequency index needs exactly 4 components")
     ki = np.asarray(k, dtype=np.int64)
-    if not np.array_equal(ki, np.asarray(k)):
+    if not np.array_equal(ki, k):
         raise ValueError("frequency index must be integer")
-    if not is_hindex(ki):
-        raise ValueError(f"{tuple(ki)} is not a valid frequency index")
+    if ki.sum() != 0 or np.any((ki - ki[0]) % 4):
+        raise ValueError(f"{tuple(ki.tolist())} is not a valid frequency index")
     return ki
 
 
 def to_homogeneous(x) -> np.ndarray:
     """Map Cartesian (..., 3) to homogeneous (..., 4) via t = U x."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x, 3, "Cartesian")
     return x @ U_MATRIX.T
 
 
 def from_homogeneous(t) -> np.ndarray:
     """Map homogeneous (..., 4) to Cartesian (..., 3) via x = U^T t."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     return t @ U_MATRIX
 
 
@@ -103,7 +104,7 @@ def _diffs(x: np.ndarray) -> np.ndarray:
 
 def _all_pairs(t, test) -> np.ndarray:
     """test(t_i - t_j) and-ed over the six pairs i < j, one (...,) view at a time."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     out = np.ones(t.shape[:-1], dtype=bool)
     for i, j in zip(*_PAIRS):
         out &= test(t[..., i] - t[..., j])
@@ -157,5 +158,5 @@ def fold_to_omega_H(t) -> np.ndarray:
 def phi(k, t) -> np.ndarray:
     """Exponential phi_k(t) = exp(i*pi/2 * k.t) for k in H, t (..., 4)."""
     k = hindex(k)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     return np.exp(0.5j * np.pi * (t @ k.astype(float)))

@@ -15,6 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .lattice import _points
+
 
 def _odd(p) -> int:
     """1 for an odd number of inversions, 0 for even."""
@@ -43,13 +45,13 @@ def orbit_size(k) -> int:
 
 def project_plus(f, t) -> np.ndarray:
     """P+ f(t) = (1/24) sum over S4 of f(t sigma)."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     return sum(f(t[..., p]) for p in PERM_TABLE) / 24.0
 
 
 def project_minus(f, t) -> np.ndarray:
     """P- f(t) = (1/24) [sum over G+ of f(t sigma) - sum over G- of f(t sigma)]."""
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     plus = sum(f(t[..., p]) for p in G_PLUS)
     minus = sum(f(t[..., p]) for p in G_MINUS)
     return (plus - minus) / 24.0

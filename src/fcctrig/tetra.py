@@ -13,16 +13,18 @@ The interpolation and cubature operators live on the homogeneous form;
 this module moves data to and from the other two.  Membership has one
 test, ``in_tetra_H``; a point of another chart goes through that chart's
 map first: ``in_tetra_H(point_regular_to_h(x))`` for regular points and
-``in_tetra_H(lattice.to_homogeneous(x))`` for Cartesian ones.
+``in_tetra_H(lattice.to_homogeneous(x))`` for Cartesian ones.  Every map
+checks its points with ``lattice._points``, so points of the wrong chart
+raise a ValueError naming the chart the map expected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .indexsets import _from_reduced, to_reduced
+from .indexsets import to_reduced
 from .interpolation import interp_Ln_star
-from .lattice import hindex
+from .lattice import _points, hindex
 
 # slack of the closed membership tests, for points built by float arithmetic
 TETRA_TOL = 1e-12
@@ -33,25 +35,9 @@ def index_h_to_regular(j) -> tuple:
     return tuple(to_reduced(hindex(j)).tolist())
 
 
-def index_regular_to_h(k) -> np.ndarray:
-    """Inverse of index_h_to_regular."""
-    k = np.asarray(k, dtype=np.int64)
-    if k.shape != (3,):
-        raise ValueError("regular index needs 3 components")
-    return _from_reduced(k)
-
-
-def _points(x, d: int, chart: str) -> np.ndarray:
-    """x as floats of shape (..., d); ValueError for another last axis."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != d:
-        raise ValueError(f"{chart} points need {d} coordinates, got shape {x.shape}")
-    return x
-
-
 def point_h_to_regular(t) -> np.ndarray:
     """x_i = t_i - t_4 maps the homogeneous simplex onto 0 <= x3 <= x2 <= x1 <= 1."""
-    t = _points(t, 4, "homogeneous")
+    t = _points(t)
     return t[..., :3] - t[..., 3:]
 
 
@@ -64,7 +50,7 @@ def point_regular_to_h(x) -> np.ndarray:
 
 def in_tetra_H(t) -> np.ndarray:
     """Closed homogeneous simplex membership of points (..., 4)."""
-    t = _points(t, 4, "homogeneous")
+    t = _points(t)
     g1 = t[..., 0] - t[..., 1]
     g2 = t[..., 1] - t[..., 2]
     g3 = t[..., 2] - t[..., 3]

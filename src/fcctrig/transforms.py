@@ -31,7 +31,7 @@ from .indexsets import (
     lambda_weights,
     to_reduced,
 )
-from .lattice import A_MATRIX, _box, to_homogeneous
+from .lattice import A_MATRIX, _box, _points, to_homogeneous
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -173,9 +173,7 @@ class TrigPoly:
         last axis is not 4, an entry is not finite, or |sum t| > 1e-9 *
         max(1, max |t_i|).  The box is contracted one axis at a time, in
         chunks that cap every array at 2^20 elements."""
-        t = np.asarray(t, dtype=float)
-        if t.ndim == 0 or t.shape[-1] != 4:
-            raise ValueError(f"points need 4 coordinates on the last axis, got shape {t.shape}")
+        t = _points(t)
         if not np.all(np.isfinite(t)):
             raise ValueError("points must be finite")
         if np.any(np.abs(t.sum(axis=-1)) > 1e-9 * np.maximum(1.0, np.abs(t).max(axis=-1))):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import hindex, phi
+from .lattice import _points, hindex, phi
 from .symmetry import orbit, orbit_size, project_minus
 
 # coordinate pairings (a, b | c, d); the v-difference keeps the printed
@@ -39,7 +39,7 @@ def _check_monotone(k):
 
 def _compact(k, t, g) -> np.ndarray:
     k1, k2, k3, k4 = (int(v) for v in k)
-    t = np.asarray(t, dtype=float)
+    t = _points(t)
     out = 0.0
     for (a, b), (c, d) in _PAIRINGS:
         s = t[..., a] + t[..., b]

@@ -13,7 +13,6 @@ from fcctrig.lattice import (
     homo_point,
     in_closed_omega_H,
     in_omega_H,
-    is_hindex,
     phi,
     to_homogeneous,
 )
@@ -151,9 +150,15 @@ def test_phi_periodic_and_multiplicative():
 def test_hindex_rejects(bad):
     with pytest.raises(ValueError):
         hindex(bad)
-    assert not is_hindex(np.asarray(bad))
+    with pytest.raises(ValueError):
+        hindex(np.asarray(bad))
+
+
+def test_hindex_names_the_bad_index_in_plain_integers():
+    with pytest.raises(ValueError, match=r"^\(1, -1, 1, -1\) is not a valid frequency index$"):
+        hindex([1, -1, 1, -1])
 
 
 def test_hindex_accepts():
     assert np.array_equal(hindex([4, 0, 0, -4]), np.array([4, 0, 0, -4]))
-    assert is_hindex(np.array([3, -1, -1, -1]))
+    assert np.array_equal(hindex(np.array([3, -1, -1, -1])), [3, -1, -1, -1])
