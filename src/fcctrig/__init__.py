@@ -33,6 +33,7 @@ from .interpolation import (
     interp_Ln_star,
     lebesgue_interp,
     node_set,
+    regular_interpolate,
 )
 from .kernels import (
     K_n,
@@ -59,13 +60,7 @@ from .lattice import (
     to_homogeneous,
 )
 from .symmetry import G_MINUS, G_PLUS, orbit, project_minus, project_plus
-from .tetra import (
-    in_tetra_H,
-    index_h_to_regular,
-    point_h_to_regular,
-    point_regular_to_h,
-    regular_interpolate,
-)
+from .tetra import in_tetra_H, point_h_to_regular, point_regular_to_h
 from .transforms import (
     TrigPoly,
     continuous_inner,

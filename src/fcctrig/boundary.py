@@ -17,7 +17,7 @@ import operator
 
 import numpy as np
 
-from .lattice import homo_point, hindex, in_closed_omega_H
+from .lattice import _one, _rows, homo_point, in_closed_omega_H
 from .symmetry import PERM_TABLE
 
 # absolute tolerance of the float routines' equality tests t_i - t_j = 1
@@ -36,13 +36,8 @@ def classify(t):
         raise ValueError("classify expects a single point")
     if not in_closed_omega_H(t, tol=CLASSIFY_TOL):
         raise ValueError("point lies outside the closed fundamental domain")
-    I, J = set(), set()
-    for i in range(4):
-        for j in range(4):
-            if i != j and abs(t[i] - t[j] - 1.0) <= CLASSIFY_TOL:
-                I.add(i + 1)
-                J.add(j + 1)
-    return frozenset(I), frozenset(J)
+    hit = np.abs(t[:, None] - t[None, :] - 1.0) <= CLASSIFY_TOL  # (i, j): t_i - t_j = 1
+    return _labels(hit.any(axis=1), hit.any(axis=0))
 
 
 def boundary_slots(kk, n: int):
@@ -51,10 +46,10 @@ def boundary_slots(kk, n: int):
     Row r has slot i in I and slot j in J when kk[r, i] - kk[r, j] = 4n;
     both rows are all False for an interior node.  This is the one place
     the boundary condition is written down; strata, weights and
-    classify_index are read off these masks.  Rows outside H_n* raise
-    ValueError.
+    classify_index are read off these masks.  Rows go through
+    ``lattice._rows``, and rows outside H_n* raise ValueError too.
     """
-    kk = np.asarray(kk, dtype=np.int64).reshape(-1, 4)
+    kk = _rows(kk)
     d = kk[:, :, None] - kk[:, None, :]
     if np.any(np.abs(d) > 4 * operator.index(n)):
         raise ValueError("index outside the closed node set for this degree")
@@ -62,44 +57,36 @@ def boundary_slots(kk, n: int):
     return hit.any(axis=2), hit.any(axis=1)
 
 
+def _labels(I, J):
+    """The 1-based slots set in the masks I and J, as a pair of frozensets."""
+    return tuple(frozenset((np.flatnonzero(m) + 1).tolist()) for m in (I, J))
+
+
 def classify_index(k, n: int):
     """Integer-exact stratum label of the node k/(4n); k must lie in H_n*."""
-    masks = boundary_slots(hindex(k), n)
-    I, J = (frozenset((np.flatnonzero(m) + 1).tolist()) for m in masks)
-    return I, J
+    return _labels(*boundary_slots(_one(k), n))
 
 
-def _moving_only(labels) -> np.ndarray:
-    """Rows of PERM_TABLE permuting only the given 1-based slots, identity first."""
-    fixed = [m for m in range(4) if (m + 1) not in labels]
-    return PERM_TABLE[(PERM_TABLE[:, fixed] == fixed).all(axis=1)]
+def _partners(x, I, J) -> np.ndarray:
+    """Images x[p], identity first, over the PERM_TABLE rows p moving only slots in I and J."""
+    fixed = [m for m in range(4) if (m + 1) not in I | J]
+    return x[PERM_TABLE[(PERM_TABLE[:, fixed] == fixed).all(axis=1)]]
 
 
 def congruent_orbit(t):
     """All distinct boundary partners of t congruent to it mod the lattice.
 
-    Computed by permuting the slots named in I and J; interior points give
-    [t].  The count equals binom(|I|+|J|, |I|) on the open stratum.
+    Computed by permuting the slots named in I and J, an image within 1e-10
+    of an earlier one being the same partner; interior points give [t].  The
+    count equals binom(|I|+|J|, |I|) on the open stratum.
     """
     t = homo_point(t)
-    I, J = classify(t)
-    out = []
-    for p in _moving_only(I | J):
-        s = t[p]
-        if not any(np.max(np.abs(s - q)) < 1e-10 for q in out):
-            out.append(s)
-    return out
+    imgs = _partners(t, *classify(t))
+    same = (np.abs(imgs[:, None] - imgs[None]) < 1e-10).all(axis=-1)
+    return list(imgs[~np.tril(same, -1).any(axis=1)])
 
 
 def congruent_orbit_index(k, n: int):
     """Exact variant of congruent_orbit for a node index k in H_n*."""
-    k = hindex(k)
     I, J = classify_index(k, n)
-    seen, out = set(), []
-    for p in _moving_only(I | J):
-        s = tuple(k[p].tolist())
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
-
+    return list(dict.fromkeys(map(tuple, _partners(np.asarray(k, np.int64), I, J).tolist())))

@@ -26,6 +26,7 @@ from .indexsets import (
 )
 from . import kernels
 from .interpolation import BUILDERS
+from .lattice import _expsum
 from .transforms import cubature_tetra
 from .trigbasis import tc, tc_direct, ts, ts_direct
 
@@ -36,7 +37,7 @@ def _err(got, want) -> float:
 
 def _phis(nodes: np.ndarray, n: int, freqs: np.ndarray) -> np.ndarray:
     """phi_k(j / 4n) for nodes j (rows) and frequencies k (columns)."""
-    return kernels._expsum(freqs, nodes.astype(float) / (4.0 * n))
+    return _expsum(freqs, nodes.astype(float) / (4.0 * n))
 
 
 def cardinalities(n: int) -> int:

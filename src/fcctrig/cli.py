@@ -155,8 +155,7 @@ def cmd_nodes(args) -> int:
         keys = indexsets._star_keys(n) if args.set == "hstar" else indexsets.stratum_keys(idx, n)
 
         def label(key):
-            a, b = divmod(key, 4)
-            size = int(indexsets._BINOM[a + b, a])
+            a, b, size = map(int, indexsets._unkey(key))
             return "interior" if key == 0 else f"{a}{b}", str(Fraction(1, size)), 1 / size
     # stratum and weight depend on the class key only: label each class once
     uniq, inv = np.unique(keys, return_inverse=True)
@@ -178,9 +177,12 @@ def cmd_kernel(args) -> int:
     n, name = indexsets._degree(args.n), args.f
     if name == "phi":
         fn = _builtin("phi", _parse_k(args.k) if args.k else None)
+    elif name == "phin":
+        # Phi_n as its coefficient box; the direct sum forms points x 4n^3 exponentials
+        fn = transforms.TrigPoly._place(indexsets.generate_Hn(n), 1 / (4 * n**3), n)
     else:
         kernel = {"theta": kernels.theta_n, "dirichlet": kernels.dirichlet,
-                  "phin": kernels.phi_n_fund, "phistar": kernels.phi_n_star}[name]
+                  "phistar": kernels.phi_n_star}[name]
         fn = lambda t: kernel(n, t)
     grid = interpolation.dodeca_grid(args.grid)
     obj = {"kernel": name, "n": n, "grid": args.grid}

@@ -5,10 +5,11 @@ Every set is the rows of one box of reduced coordinates k'_i = (k_i - k_4)/4
 k_i - k_j (``lattice._diffs``), or monotonicity for the tetrahedral sets.
 
 Strata and weights of whole node arrays are read off one routine,
-boundary.boundary_slots.  The weights are exact: the symmetric-rule weight
-c = 1/binom(|I|+|J|, |I|) is held as its integer denominator (a Fraction
-for one node) and the tetrahedral weight lambda is an integer; they convert
-to float only when a quadrature sum is actually formed.
+boundary.boundary_slots, and a class size off a stratum key by ``_unkey``.
+The weights are exact: the symmetric-rule weight c = 1/binom(|I|+|J|, |I|)
+is held as its integer denominator (a Fraction for one node) and the
+tetrahedral weight lambda is an integer; they convert to float only when a
+quadrature sum is actually formed.
 
 The node and frequency sets and the weights in their order are pure
 functions of the degree, built once per degree: each keeps the last
@@ -27,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .boundary import boundary_slots
-from .lattice import _box, _diffs, hindex
+from .lattice import _box, _diffs, _one, _rows
 from .symmetry import PERM_TABLE
 
 TETRA_WEIGHTS = {"interior": 24, "face": 12, "edge1": 6, "edge2": 4, "vertex": 1}
@@ -78,8 +79,15 @@ def _from_reduced(kp: np.ndarray) -> np.ndarray:
 
 
 def to_reduced(k) -> np.ndarray:
-    """Reduced coordinates ((k_i - k_4)/4 for i = 1..3) of one or many indices."""
+    """Reduced coordinates ((k_i - k_4)/4 for i = 1..3) of indices (..., 4).
+
+    Membership in H is trusted, not checked: interpolant builds call this 24
+    times each, and ``lattice._rows`` here made the n = 8 tetrahedral
+    interpolants about a third slower to build and evaluate.
+    """
     k = np.asarray(k, dtype=np.int64)
+    if k.ndim == 0 or k.shape[-1] != 4:
+        raise ValueError(f"frequency indices need 4 components, got shape {k.shape}")
     return (k[..., :3] - k[..., 3:]) // 4
 
 
@@ -113,14 +121,14 @@ def generate_Hn_circ(n: int) -> np.ndarray:
 def strata(kk, n: int) -> np.ndarray:
     """(|I|, |J|) of every row of kk, shape (N, 2); (0, 0) for interior nodes.
 
-    Rows must lie in H_n*; others raise ValueError.
+    Rows go through ``lattice._rows`` and must lie in H_n*; others raise ValueError.
     """
     I, J = boundary_slots(kk, n)
     return np.stack([I.sum(axis=1), J.sum(axis=1)], axis=1)
 
 
 def stratum_keys(kk, n: int) -> np.ndarray:
-    """One integer 4|I| + |J| per row of kk; divmod(key, 4) gives (|I|, |J|) back.
+    """One integer 4|I| + |J| per row of kk; ``_unkey`` reads (|I|, |J|) back.
 
     |J| <= 3, so keys sort as the (|I|, |J|) pairs do; 0 is interior.
     """
@@ -128,13 +136,18 @@ def stratum_keys(kk, n: int) -> np.ndarray:
     return 4 * s[:, 0] + s[:, 1]
 
 
+def _unkey(keys):
+    """|I|, |J| and the class size binom(|I|+|J|, |I|) of stratum keys 4|I| + |J|."""
+    I, J = np.divmod(keys, 4)
+    return I, J, _BINOM[I + J, I]
+
+
 def class_sizes(kk, n: int) -> np.ndarray:
     """binom(|I|+|J|, |I|) per row: the size of each node's congruence class.
 
     The symmetric-rule weight of a node is c = 1 / (its class size).
     """
-    s = strata(kk, n)
-    return _BINOM[s.sum(axis=1), s[:, 0]]
+    return _unkey(stratum_keys(kk, n))[2]
 
 
 @_per_degree
@@ -146,8 +159,14 @@ def _star_keys(n: int) -> np.ndarray:
 @_per_degree
 def _star_sizes(n: int) -> np.ndarray:
     """Class sizes of H_n*, in ``generate_Hn_star`` order."""
-    a, b = np.divmod(_star_keys(n), 4)
-    return _BINOM[a + b, a]
+    return _unkey(_star_keys(n))[2]
+
+
+def _non_increasing(kk: np.ndarray) -> np.ndarray:
+    """Checked index rows (..., 4), or ValueError unless every row is non-increasing."""
+    if np.any(kk[..., 1:] > kk[..., :-1]):
+        raise ValueError("tetrahedral index must be non-increasing")
+    return kk
 
 
 def lambdas(kk, n: int) -> np.ndarray:
@@ -157,9 +176,7 @@ def lambdas(kk, n: int) -> np.ndarray:
     permutations fixing the row (the product of the factorials of the
     entry multiplicities), divided by the class size.
     """
-    kk = np.asarray(kk, dtype=np.int64).reshape(-1, 4)
-    if np.any(kk[:, 1:] > kk[:, :-1]):
-        raise ValueError("tetrahedral index must be non-increasing")
+    kk = _non_increasing(_rows(kk))
     sizes = class_sizes(kk, n)
     fixing = (kk[:, PERM_TABLE] == kk[:, None, :]).all(axis=-1).sum(axis=1)
     return 24 // fixing // sizes
@@ -167,18 +184,19 @@ def lambdas(kk, n: int) -> np.ndarray:
 
 def stratum_of_index(k, n: int):
     """(|I|, |J|) of the node k/(4n); (0, 0) for interior nodes."""
-    return tuple(strata(hindex(k), n)[0].tolist())
+    return tuple(strata(_one(k), n)[0].tolist())
 
 
 def weight_c(k, n: int) -> Fraction:
     """Quadrature weight of a symmetric-rule node, 1 over binom(|I|+|J|, |I|)."""
-    return Fraction(1, int(class_sizes(hindex(k), n)[0]))
+    return Fraction(1, int(class_sizes(_one(k), n)[0]))
 
 
 def stratum_counts(n: int) -> dict:
     """Map (|I|, |J|) -> number of nodes in that stratum of the star set."""
     keys, counts = np.unique(_star_keys(n), return_counts=True)
-    return {divmod(key, 4): c for key, c in zip(keys.tolist(), counts.tolist())}
+    I, J, _ = _unkey(keys)
+    return dict(zip(zip(I.tolist(), J.tolist()), counts.tolist()))
 
 
 def tetra_stratum(k, n: int) -> str:
@@ -192,7 +210,7 @@ def tetra_stratum(k, n: int) -> str:
 
 def weight_lambda(k, n: int) -> int:
     """Tetrahedral weight lambda of one monotone index of H_n*, an integer."""
-    return int(lambdas(hindex(k), n)[0])
+    return int(lambdas(_one(k), n)[0])
 
 
 @_per_degree

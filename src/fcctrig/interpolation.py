@@ -40,7 +40,8 @@ group and one FFT of size 4n x n x n per point gives the kernel on all
 of it, in chunks of at most 2^20 complex elements per array.  The
 compact forms (``ell_tri``, ``ell_circ``, ``phi_n_star``, ``theta_n``)
 and the sums ``ell_*_sum`` are the paper's identities and the oracles
-both routes are tested against.
+both routes are tested against.  ``regular_interpolate`` drives
+``lnstar`` through the regular-simplex chart of ``tetra``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .indexsets import (
 from .kernels import phi_n_star, theta_n
 from .lattice import _box, _points, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
+from .tetra import point_h_to_regular, point_regular_to_h
 from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, unit_cell_points
 from .trigbasis import tc, ts
 
@@ -263,6 +265,16 @@ def interp_Ln(f, n: int) -> Interpolant:
 def interp_Ln_star(f, n: int) -> Interpolant:
     """Cosine interpolation at all tetrahedral nodes."""
     return _build("lnstar", n, f)
+
+
+def regular_interpolate(f3, n: int, x) -> np.ndarray:
+    """Cosine interpolation driven entirely in regular coordinates.
+
+    f3 is sampled at the nodes (k1,k2,k3)/n; x may be a single point or an
+    array (..., 3).
+    """
+    interp = interp_Ln_star(lambda t: f3(point_h_to_regular(t)), n)
+    return interp(point_regular_to_h(x))
 
 
 BUILDERS = {"in": interp_In, "instar": interp_In_star, "ln": interp_Ln, "lnstar": interp_Ln_star}

@@ -25,7 +25,7 @@ import operator
 import numpy as np
 
 from .indexsets import _degree, class_sizes, generate_Hn, generate_Hn_star, strata
-from .lattice import _PAIRS, _points
+from .lattice import _PAIRS, _expsum, _points
 
 SING_TOL = 1e-8
 
@@ -65,12 +65,6 @@ def dirichlet_product(n: int, t) -> np.ndarray:
     t = _points(t)
     kt = K_n(n, t)
     return np.prod(kt, axis=-1) - np.prod(kt - 1.0, axis=-1)
-
-
-def _expsum(kk: np.ndarray, t) -> np.ndarray:
-    """phi_k(t) = exp(i pi k.t / 2) for points t (rows) and frequencies kk
-    (columns); the one exponential matrix of every direct sum."""
-    return np.exp(0.5j * np.pi * (_points(t) @ kk.astype(float).T))
 
 
 def dirichlet_direct(n: int, t) -> np.ndarray:

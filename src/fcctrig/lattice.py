@@ -7,7 +7,9 @@ constants and satisfy U^T U = I and A = U^T H exactly.
 
 Frequencies live in the set ``H`` of integer zero-sum quadruples whose
 components are pairwise congruent mod 4; the exponential attached to a
-frequency k is phi(k, t) = exp(i*pi/2 * k.t).
+frequency k is phi(k, t) = exp(i*pi/2 * k.t).  Entry points that take
+indices of H check them through ``_rows`` (a ValueError names another
+shape or the first bad row); ``to_reduced`` checks the shape only.
 
 The fundamental domain Omega_H is the rhombic dodecahedron in homogeneous
 coordinates, half open: -1 < t_i - t_j <= 1 for all i < j.
@@ -62,18 +64,36 @@ def homo_point(values) -> np.ndarray:
     return t - t.mean(axis=-1, keepdims=True)
 
 
-def hindex(values) -> np.ndarray:
-    """Validate and return a frequency index as an int64 array of shape (4,):
-    integer entries that sum to zero and are congruent mod 4."""
-    k = np.asarray(values)
-    if k.shape != (4,):
-        raise ValueError("frequency index needs exactly 4 components")
+def _rows(kk) -> np.ndarray:
+    """One index (4,) or rows (N, 4) as int64 rows (N, 4) of integers that sum to
+    zero and are congruent mod 4; ValueError naming another shape or the first bad row."""
+    k = np.asarray(kk)
+    if k.ndim not in (1, 2) or k.shape[-1] != 4:
+        raise ValueError(f"frequency indices need 4 components, got shape {k.shape}")
+    k = k.reshape(-1, 4)
     ki = np.asarray(k, dtype=np.int64)
-    if not np.array_equal(ki, k):
-        raise ValueError("frequency index must be integer")
-    if ki.sum() != 0 or np.any((ki - ki[0]) % 4):
-        raise ValueError(f"{tuple(ki.tolist())} is not a valid frequency index")
+    # nonzero where a rule fails (congruence, zero sum, integrality); in place
+    bad = ki - ki[:, :1]
+    bad %= 4
+    bad |= ki.sum(axis=1, keepdims=True)
+    if k.dtype.kind not in "iu":
+        bad |= ki != k
+    if bad.any():
+        raise ValueError(f"{tuple(k[bad.any(1)][0].tolist())} is not a valid frequency index")
     return ki
+
+
+def _one(k) -> np.ndarray:
+    """k as an array of shape (4,), for an array routine to check; ValueError otherwise."""
+    k = np.asarray(k)
+    if k.shape != (4,):
+        raise ValueError(f"a frequency index has shape (4,), got {k.shape}")
+    return k
+
+
+def hindex(values) -> np.ndarray:
+    """One frequency index as int64 of shape (4,), checked as ``_rows`` checks rows."""
+    return _rows(_one(values))[0]
 
 
 def to_homogeneous(x) -> np.ndarray:
@@ -155,8 +175,11 @@ def fold_to_omega_H(t) -> np.ndarray:
     return homo_point(out[..., 0, :])
 
 
+def _expsum(kk: np.ndarray, t) -> np.ndarray:
+    """phi_k(t) for points t (rows) and frequencies kk (columns) or one k."""
+    return np.exp(0.5j * np.pi * (_points(t) @ kk.astype(float).T))
+
+
 def phi(k, t) -> np.ndarray:
     """Exponential phi_k(t) = exp(i*pi/2 * k.t) for k in H, t (..., 4)."""
-    k = hindex(k)
-    t = _points(t)
-    return np.exp(0.5j * np.pi * (t @ k.astype(float)))
+    return _expsum(hindex(k), t)

@@ -34,24 +34,30 @@ G_MINUS = PERM_TABLE[12:]
 
 
 def orbit(k) -> list:
-    """Distinct images of k under the group, as int tuples, sorted."""
-    k = np.asarray(k, dtype=np.int64).reshape(4)
-    return sorted(set(map(tuple, k[PERM_TABLE].tolist())))
+    """Distinct images of k under the group, as int tuples, sorted; k is any
+    4 integers, in H or not, and anything else is a ValueError."""
+    k = np.asarray(k)
+    ki = k.astype(np.int64)
+    if k.shape != (4,) or np.any(ki != k):
+        raise ValueError(f"an orbit needs 4 integer entries, got {k.tolist()!r}")
+    return sorted(set(map(tuple, ki[PERM_TABLE].tolist())))
 
 
 def orbit_size(k) -> int:
     return len(orbit(k))
 
 
+def _image_sum(f, t, rows) -> np.ndarray:
+    """The sum of f(t sigma) over the given rows sigma of PERM_TABLE, in order."""
+    t = _points(t)
+    return sum(f(t[..., p]) for p in rows)
+
+
 def project_plus(f, t) -> np.ndarray:
     """P+ f(t) = (1/24) sum over S4 of f(t sigma)."""
-    t = _points(t)
-    return sum(f(t[..., p]) for p in PERM_TABLE) / 24.0
+    return _image_sum(f, t, PERM_TABLE) / 24.0
 
 
 def project_minus(f, t) -> np.ndarray:
     """P- f(t) = (1/24) [sum over G+ of f(t sigma) - sum over G- of f(t sigma)]."""
-    t = _points(t)
-    plus = sum(f(t[..., p]) for p in G_PLUS)
-    minus = sum(f(t[..., p]) for p in G_MINUS)
-    return (plus - minus) / 24.0
+    return (_image_sum(f, t, G_PLUS) - _image_sum(f, t, G_MINUS)) / 24.0

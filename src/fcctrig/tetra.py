@@ -4,13 +4,13 @@ Three coordinatizations of the same simplex show up:
 
 * homogeneous: 0 <= t1-t2, t2-t3, t3-t4 and t1-t4 <= 1 (zero-sum t);
 * regular (corner) coordinates: 0 <= x3 <= x2 <= x1 <= 1, reached by
-  x_i = t_i - t_4, node indices become (k1,k2,k3)/n with
-  0 <= k3 <= k2 <= k1 <= n;
+  x_i = t_i - t_4, node indices j become (k1,k2,k3)/n with
+  0 <= k3 <= k2 <= k1 <= n, (k1,k2,k3) = ``indexsets.to_reduced(j)``;
 * Cartesian: the image of the homogeneous simplex under the lattice
   projection, cut out by 0 <= x3 +- x2 <= 1 and 0 <= x2 +- x1 <= 1.
 
 The interpolation and cubature operators live on the homogeneous form;
-this module moves data to and from the other two.  Membership has one
+this module moves points to and from the other two.  Membership has one
 test, ``in_tetra_H``; a point of another chart goes through that chart's
 map first: ``in_tetra_H(point_regular_to_h(x))`` for regular points and
 ``in_tetra_H(lattice.to_homogeneous(x))`` for Cartesian ones.  Every map
@@ -22,17 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexsets import to_reduced
-from .interpolation import interp_Ln_star
-from .lattice import _points, hindex
+from .lattice import _points
 
 # slack of the closed membership tests, for points built by float arithmetic
 TETRA_TOL = 1e-12
-
-
-def index_h_to_regular(j) -> tuple:
-    """Reduced index (j_i - j_4)/4, i = 1..3; exact on valid frequency indices."""
-    return tuple(to_reduced(hindex(j)).tolist())
 
 
 def point_h_to_regular(t) -> np.ndarray:
@@ -56,17 +49,3 @@ def in_tetra_H(t) -> np.ndarray:
     g3 = t[..., 2] - t[..., 3]
     top = t[..., 0] - t[..., 3]
     return (g1 >= -TETRA_TOL) & (g2 >= -TETRA_TOL) & (g3 >= -TETRA_TOL) & (top <= 1.0 + TETRA_TOL)
-
-
-def regular_interpolate(f3, n: int, x) -> np.ndarray:
-    """Cosine interpolation driven entirely in regular coordinates.
-
-    f3 is sampled at the nodes (k1,k2,k3)/n; x may be a single point or an
-    array (..., 3).
-    """
-
-    def f(t):
-        return f3(point_h_to_regular(t))
-
-    interp = interp_Ln_star(f, n)
-    return interp(point_regular_to_h(x))

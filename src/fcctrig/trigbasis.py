@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .indexsets import _non_increasing
 from .lattice import _points, hindex, phi
 from .symmetry import orbit, orbit_size, project_minus
 
@@ -30,13 +31,6 @@ _PAIRINGS = (
 )
 
 
-def _check_monotone(k):
-    k = hindex(k)
-    if not (k[0] >= k[1] >= k[2] >= k[3]):
-        raise ValueError("index must be sorted in non-increasing order")
-    return k
-
-
 def _compact(k, t, g) -> np.ndarray:
     k1, k2, k3, k4 = (int(v) for v in k)
     t = _points(t)
@@ -45,18 +39,16 @@ def _compact(k, t, g) -> np.ndarray:
         s = t[..., a] + t[..., b]
         u = t[..., a] - t[..., b]
         v = t[..., c] - t[..., d]
-        out = out + np.exp(0.5j * np.pi * (k1 + k2) * s) * g(
-            0.25 * np.pi * (k1 - k2) * u
-        ) * g(0.25 * np.pi * (k3 - k4) * v)
-        out = out + np.exp(0.5j * np.pi * (k3 + k4) * s) * g(
-            0.25 * np.pi * (k3 - k4) * u
-        ) * g(0.25 * np.pi * (k1 - k2) * v)
+        # the term of (k1, k2 | k3, k4), then of its swap (k3, k4 | k1, k2)
+        for m, x, y in ((k1 + k2, k1 - k2, k3 - k4), (k3 + k4, k3 - k4, k1 - k2)):
+            out = out + np.exp(0.5j * np.pi * m * s) * g(0.25 * np.pi * x * u) * g(
+                0.25 * np.pi * y * v)
     return out / 6.0
 
 
 def tc(k, t) -> np.ndarray:
     """Generalized cosine, compact form."""
-    k = _check_monotone(k)
+    k = _non_increasing(hindex(k))
     return _compact(k, t, np.cos)
 
 
@@ -67,7 +59,7 @@ def ts(k, t) -> np.ndarray:
     to the zero function, so a bad interior-index enumeration fails loudly
     instead of producing a singular interpolation system.
     """
-    k = _check_monotone(k)
+    k = _non_increasing(hindex(k))
     if len({int(v) for v in k}) < 4:
         raise ValueError("generalized sine needs strictly decreasing indices")
     return _compact(k, t, np.sin)
@@ -75,7 +67,7 @@ def ts(k, t) -> np.ndarray:
 
 def tc_direct(k, t) -> np.ndarray:
     """Oracle: mean of phi_j over the distinct permutations j of k."""
-    k = _check_monotone(k)
+    k = _non_increasing(hindex(k))
     members = orbit(k)
     total = 0.0
     for j in members:
@@ -85,7 +77,7 @@ def tc_direct(k, t) -> np.ndarray:
 
 def ts_direct(k, t) -> np.ndarray:
     """Oracle: minus the antisymmetrized exponential, -P- phi_k."""
-    k = _check_monotone(k)
+    k = _non_increasing(hindex(k))
     if len({int(v) for v in k}) < 4:
         raise ValueError("generalized sine needs strictly decreasing indices")
     return -project_minus(lambda s: phi(k, s), t)
@@ -93,5 +85,5 @@ def ts_direct(k, t) -> np.ndarray:
 
 def tc_orthogonality_value(k) -> Fraction:
     """Continuous squared norm of TC_k over the tetrahedron, 1/|orbit of k|."""
-    k = _check_monotone(k)
+    k = _non_increasing(hindex(k))
     return Fraction(1, orbit_size(k))

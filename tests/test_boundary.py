@@ -89,6 +89,14 @@ def test_phi_constant_on_congruence_class(point):
         assert max(abs(v - vals[0]) for v in vals) < 1e-9
 
 
+def test_congruent_orbit_merges_images_closer_than_1e_10():
+    # the (2, 2) vertex a hair off: its 24 slot permutations are 6 partners
+    t = np.array([0.5, 0.5, -0.5, -0.5]) + np.array([1, -1, 1, -1]) * 1e-13
+    orb = congruent_orbit(t)
+    assert len(orb) == 6
+    assert np.abs(orb[0] - t).max() < 1e-15
+
+
 def test_congruent_orbit_interior_is_singleton():
     orb = congruent_orbit([0.1, 0.05, -0.05, -0.1])
     assert len(orb) == 1

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from fcctrig import claims, cli
 from fcctrig.indexsets import generate_Hn_star, lambda_nodes
 from fcctrig.interpolation import dodeca_grid, from_node_values, node_set
-from fcctrig.kernels import dirichlet
+from fcctrig.kernels import dirichlet, phi_n_fund
 
 
 def run(capsys, *argv):
@@ -122,6 +123,27 @@ def test_kernel_values_match_library(capsys):
     want = dirichlet(2, grid)
     got = np.array([float(r[4]) for r in rows])
     assert np.abs(got - np.real(want)).max() < 1e-12
+
+
+def test_kernel_phin_matches_the_direct_sum(capsys):
+    code, out, _ = run(capsys, "kernel", "--f", "phin", "--n", "3", "--grid", "4")
+    assert code == 0
+    _, rows = parse_csv(out)
+    got = np.array([complex(float(r[4]), float(r[5])) for r in rows])
+    assert np.abs(got - phi_n_fund(3, dodeca_grid(4))).max() < 1e-12
+
+
+def test_kernel_phin_memory_is_bounded(capsys):
+    # the direct sum forms a points x 4n^3 exponential matrix: 4096 x 6912
+    # complex numbers, 432 MiB, here
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "kernel", "--f", "phin", "--n", "12", "--grid", "16")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 96 * 2**20
 
 
 def test_kernel_phi_needs_k(capsys):

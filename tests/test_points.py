@@ -53,8 +53,8 @@ POINT_TAKERS = {
     "tetra.point_h_to_regular": (tetra.point_h_to_regular, 4, "homogeneous"),
     "tetra.point_regular_to_h": (tetra.point_regular_to_h, 3, "regular"),
     "tetra.in_tetra_H": (tetra.in_tetra_H, 4, "homogeneous"),
-    "tetra.regular_interpolate": (
-        lambda x: tetra.regular_interpolate(lambda y: y[..., 0], 2, x), 3, "regular"),
+    "interpolation.regular_interpolate": (
+        lambda x: interpolation.regular_interpolate(lambda y: y[..., 0], 2, x), 3, "regular"),
     "boundary.classify": (boundary.classify, 4, "homogeneous"),
     "boundary.congruent_orbit": (boundary.congruent_orbit, 4, "homogeneous"),
     "claims.compact_kernels": (lambda t: claims.compact_kernels(2, t), 4, "homogeneous"),

@@ -99,6 +99,14 @@ def test_orbit_sizes():
         assert all(type(v) is int for m in orb for v in m)
 
 
+@pytest.mark.parametrize("bad", [[[4, 0], [0, -4]], [1.5, 0, 0, -1.5]])
+def test_orbit_needs_four_integers(bad):
+    # these used to give 12 tuples and a silently truncated orbit
+    for call in (orbit, orbit_size):
+        with pytest.raises(ValueError, match="4 integer entries"):
+            call(bad)
+
+
 def test_permuted_index_stays_valid():
     k = np.array([6, 2, -2, -6])
     for kk in k[PERM_TABLE]:

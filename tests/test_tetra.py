@@ -2,23 +2,14 @@ import numpy as np
 import pytest
 
 from fcctrig.indexsets import lambda_nodes, to_reduced
-from fcctrig.interpolation import interp_Ln_star, tetra_grid
+from fcctrig.interpolation import interp_Ln_star, regular_interpolate, tetra_grid
 from fcctrig.lattice import from_homogeneous, to_homogeneous
 from fcctrig.tetra import (
     TETRA_TOL,
     in_tetra_H,
-    index_h_to_regular,
     point_h_to_regular,
     point_regular_to_h,
-    regular_interpolate,
 )
-
-
-def test_index_maps_round_trip():
-    for n in (1, 2, 3):
-        for j in lambda_nodes(n):
-            k3 = index_h_to_regular(j)
-            assert k3 == tuple(int(v) for v in to_reduced(j))
 
 
 @pytest.mark.parametrize("shape", [(2,), (5, 4), ()])
