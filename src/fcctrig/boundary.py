@@ -76,13 +76,17 @@ def _partners(x, I, J) -> np.ndarray:
 def congruent_orbit(t):
     """All distinct boundary partners of t congruent to it mod the lattice.
 
-    Computed by permuting the slots named in I and J, an image within 1e-10
-    of an earlier one being the same partner; interior points give [t].  The
-    count equals binom(|I|+|J|, |I|) on the open stratum.
+    Computed by permuting the slots named in I and J, an image within
+    4 CLASSIFY_TOL of an earlier one in every slot being the same partner;
+    interior points give [t].  The count is binom(|I|+|J|, |I|) at every
+    point ``classify`` accepts: it puts the slots of I within 2 CLASSIFY_TOL
+    of each other, and those of J too, while distinct partners differ by
+    about 1 in some slot.
     """
     t = homo_point(t)
     imgs = _partners(t, *classify(t))
-    same = (np.abs(imgs[:, None] - imgs[None]) < 1e-10).all(axis=-1)
+    # twice that bound, for the rounding of the differences classify tests
+    same = (np.abs(imgs[:, None] - imgs[None]) <= 4 * CLASSIFY_TOL).all(axis=-1)
     return list(imgs[~np.tril(same, -1).any(axis=1)])
 
 

@@ -30,9 +30,15 @@ empty) and is then the zero operator.
 Evaluation route.  For zero-sum t, phi_k(t) = exp(2 pi i k'.y) with k' =
 to_reduced(k) in [-n, n]^3 and y = t[:3], so an interpolant is, as a
 Fourier partial sum is, one ``transforms.TrigPoly``: a (2n+1)^3 box of
-coefficients.  ``Interpolant.poly`` adds a_j f_j at j[:3] mod 4n, takes
-one fftn F and sets c_k = w_k mean_sigma s_sigma F[to_reduced(k sigma)
-mod 4n].  ``lebesgue_interp`` needs each |ell_j|, so it needs the kernel
+coefficients.  ``Interpolant.poly`` adds a_j f_j at j[:3] mod 4n and
+takes the 3-D FFT F of that only where it is read: one axis at a time,
+last axis first as fftn does, on the lines that hold a node, each pass
+keeping the residues of [-n, n], so F lands on the (2n+1)^3 box without a
+(4n)^3 cube.  It sets c_k = w_k mean_sigma s_sigma F[(k sigma)'], and the
+box position of (k sigma)' is linear in k', so all images are one gather,
+in blocks of 2^12 entries, added image by image in PERM_TABLE order: the
+bits of fftn and of one gather per image.
+``lebesgue_interp`` needs each |ell_j|, so it needs the kernel
 sum_k w_k phi_k(p - y) at every node image y, per grid point p.  The
 images fill the node group Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the
 (4n)^3 torus grid: the frequencies are added into their classes of that
@@ -229,17 +235,56 @@ class Interpolant:
     @cached_property
     def poly(self) -> TrigPoly:
         """The interpolant as its (2n+1)^3 coefficient box (module docstring)."""
-        spec, n, size = _KINDS[self.kind], self.n, 4 * self.n
-        F = np.zeros(size**3, dtype=complex)
-        np.add.at(F, (self.nodes[:, :3] % size) @ [size * size, size, 1],
-                  self.values * spec.factor(n))
-        F = np.fft.fftn(F.reshape(size, size, size))
-        kk = spec.freqs(n)
+        spec, n, d = _KINDS[self.kind], self.n, 2 * self.n + 1
+        box = _node_fft(self.nodes[:, :3], self.values * spec.factor(n), n)
         # phi_k(j sigma) = phi_{k sigma^-1}(j), and sigma -> sigma^-1 maps the
-        # summed images onto themselves and keeps s_sigma
-        c = sum(s * F[tuple((to_reduced(kk[:, p]) % size).T)]
-                for s, p in zip(spec.signs, PERM_TABLE))
-        return TrigPoly._place(kk, c * spec.weights(n) / len(spec.signs), n)
+        # summed images onto themselves and keeps s_sigma.  (k sigma)'_i =
+        # k'_{sigma(i)} - k'_{sigma(4)} with k'_4 = 0, so the box position of
+        # every image is linear in k': row sigma of image_strides puts stride
+        # i at slot sigma(i) and minus their sum at sigma(4).  Row 0, the
+        # identity, places c_k.
+        perms, strides = PERM_TABLE[: len(spec.signs)], d ** np.arange(2, -1, -1)
+        image_strides = np.zeros((len(perms), 4), dtype=np.int64)
+        image_strides[np.arange(len(perms))[:, None], perms] = [*strides, -strides.sum()]
+        kk = spec.freqs(n)
+        kp, w = to_reduced(kk), np.broadcast_to(spec.weights(n), len(kk))
+        c = np.zeros(d**3, dtype=complex)
+        # blocks of 2^12 image entries (96 KiB of positions and terms) stay in
+        # cache; blocks of 2^20 were no faster and doubled the traced peak
+        # at n = 32
+        step = max(1, 2**12 // len(perms))
+        for i in range(0, len(kp), step):
+            at = image_strides[:, :3] @ kp[i : i + step].T
+            at += n * strides.sum()
+            terms = box[at]
+            terms *= spec.signs[:, None]
+            # added image by image from 0, as sum() adds them: as floats the
+            # summed axis is never numpy's inner one, which it adds pairwise
+            ci = np.add.reduce(terms.view(float), axis=0).view(complex)
+            c[at[0]] = ci * w[i : i + step] / len(perms)
+        return TrigPoly(c.reshape(d, d, d))
+
+
+def _node_fft(j: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The fftn F of values added at the rows j mod 4n of a (4n)^3 cube, read
+    at k' mod 4n for k' in [-n, n]^3 and returned as the flat (2n+1)^3 box.
+
+    fftn's passes run as fftn runs them, last axis first, but only on the
+    lines that hold a value, and each pass keeps the residues of [-n, n]:
+    the same sums, without the cube.
+    """
+    size, d = 4 * n, 2 * n + 1
+    keep, j = np.arange(-n, n + 1) % size, j % size
+    key = j[:, 0] * size + j[:, 1]
+    lines = np.flatnonzero(np.bincount(key, minlength=size * size))
+    F = np.zeros((len(lines), size), dtype=complex)
+    np.add.at(F, (np.searchsorted(lines, key), j[:, 2]), values)
+    planes = np.flatnonzero(np.bincount(lines // size, minlength=size))
+    G = np.zeros((len(planes), size, d), dtype=complex)
+    G[np.searchsorted(planes, lines // size), lines % size] = np.fft.fft(F, out=F)[:, keep]
+    F = np.zeros((size, d, d), dtype=complex)
+    F[planes] = np.fft.fft(G, axis=1, out=G)[:, keep]
+    return np.fft.fft(F, axis=0, out=F)[keep].ravel()
 
 
 def _build(kind: str, n: int, f) -> Interpolant:

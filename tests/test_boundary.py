@@ -97,6 +97,16 @@ def test_congruent_orbit_merges_images_closer_than_1e_10():
     assert np.abs(orb[0] - t).max() < 1e-15
 
 
+@pytest.mark.parametrize("eps", [1e-13, 3e-11, 3e-10, 4.5e-10])
+def test_congruent_orbit_counts_partners_wherever_classify_accepts(eps):
+    # classify accepts t_i - t_j = 1 within CLASSIFY_TOL = 1e-9, so at 4.5e-10
+    # the pairs (1, 4) and (2, 3) are off by 9e-10 and still on the vertex;
+    # images were merged within 1e-10 only, which gave 24 partners at 3e-10
+    t = np.array([0.5, 0.5, -0.5, -0.5]) + np.array([1, -1, 1, -1]) * eps
+    assert classify(t) == (frozenset({1, 2}), frozenset({3, 4}))
+    assert len(congruent_orbit(t)) == 6
+
+
 def test_congruent_orbit_interior_is_singleton():
     orb = congruent_orbit([0.1, 0.05, -0.05, -0.1])
     assert len(orb) == 1
