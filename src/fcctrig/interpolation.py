@@ -271,20 +271,24 @@ def _node_fft(j: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     fftn's passes run as fftn runs them, last axis first, but only on the
     lines that hold a value, and each pass keeps the residues of [-n, n]:
-    the same sums, without the cube.
+    the same sums, without the cube.  Every pass hands numpy an even
+    number of lines (a zero line, residue n + 1), as the cube's passes do:
+    numpy's FFT runs lines in pairs, and an odd last one loads another
+    code path, about 0.1 MB of resident text.
     """
     size, d = 4 * n, 2 * n + 1
-    keep, j = np.arange(-n, n + 1) % size, j % size
+    keep, j = np.arange(-n, n + 2) % size, j % size
     key = j[:, 0] * size + j[:, 1]
     lines = np.flatnonzero(np.bincount(key, minlength=size * size))
-    F = np.zeros((len(lines), size), dtype=complex)
+    F = np.zeros((len(lines) + len(lines) % 2, size), dtype=complex)
     np.add.at(F, (np.searchsorted(lines, key), j[:, 2]), values)
     planes = np.flatnonzero(np.bincount(lines // size, minlength=size))
-    G = np.zeros((len(planes), size, d), dtype=complex)
-    G[np.searchsorted(planes, lines // size), lines % size] = np.fft.fft(F, out=F)[:, keep]
-    F = np.zeros((size, d, d), dtype=complex)
+    G = np.zeros((len(planes), size, d + 1), dtype=complex)
+    at = np.searchsorted(planes, lines // size)
+    G[at, lines % size] = np.fft.fft(F, out=F)[: len(lines), keep]
+    F = np.zeros((size, d + 1, d + 1), dtype=complex)
     F[planes] = np.fft.fft(G, axis=1, out=G)[:, keep]
-    return np.fft.fft(F, axis=0, out=F)[keep].ravel()
+    return np.fft.fft(F, axis=0, out=F)[keep[:d], :d, :d].ravel()
 
 
 def _build(kind: str, n: int, f) -> Interpolant:
