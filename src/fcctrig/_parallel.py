@@ -1,9 +1,10 @@
 """Thread budget and deterministic chunked evaluation.
 
 FCC_TRIG_THREADS caps the worker count for the interpolation Lebesgue
-scan, ``lebesgue_interp`` (0 or unset means one worker per CPU); map_chunks never starts more workers than
-there are CPUs.  Chunks are always combined in submission order, so
-results do not depend on scheduling.
+scan, ``lebesgue_interp`` (0 or unset means one worker per CPU);
+map_chunks never starts more workers than there are CPUs.  Chunks are
+always combined in submission order, so results do not depend on
+scheduling.
 """
 
 from __future__ import annotations

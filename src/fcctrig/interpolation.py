@@ -44,6 +44,10 @@ images fill the node group Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the
 (4n)^3 torus grid: the frequencies are added into their classes of that
 group and one FFT of size 4n x n x n per point gives the kernel on all
 of it, in chunks of at most 2^20 complex elements per array.  The
+Lebesgue function is invariant under translations by zero-sum integer
+vectors, under t -> -t rho (rho reverses the coordinates) and, for all kinds but
+``in``, under S4, so the scan evaluates it at one grid point per class
+of those maps and takes the maximum over those points.  The
 compact forms (``ell_tri``, ``ell_circ``, ``phi_n_star``, ``theta_n``)
 and the sums ``ell_*_sum`` are the paper's identities and the oracles
 both routes are tested against.  ``regular_interpolate`` drives
@@ -174,7 +178,7 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 # n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
 # first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
 # n (a scalar or one per node), and the evaluation grid.
-_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid")
+_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
 
 
 def _star_weights(n: int) -> np.ndarray:
@@ -183,13 +187,13 @@ def _star_weights(n: int) -> np.ndarray:
 
 _KINDS = {
     "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
-                np.ones(1), lambda n: 1.0, dodeca_grid),
+                np.ones(1), lambda n: 1.0, dodeca_grid, False),
     "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
-                    np.ones(1), lambda n: 1.0, dodeca_grid),
+                    np.ones(1), lambda n: 1.0, dodeca_grid, True),
     "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
-                PERM_SIGNS, lambda n: 1.0, tetra_grid),
+                PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
     "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
-                    np.ones(24), lambda_weights, tetra_grid),
+                    np.ones(24), lambda_weights, tetra_grid, True),
 }
 KINDS = tuple(_KINDS)
 
@@ -262,7 +266,7 @@ class Interpolant:
             # summed axis is never numpy's inner one, which it adds pairwise
             ci = np.add.reduce(terms.view(float), axis=0).view(complex)
             c[at[0]] = ci * w[i : i + step] / len(perms)
-        return TrigPoly(c.reshape(d, d, d))
+        return TrigPoly._own(c.reshape(d, d, d))
 
 
 def _node_fft(j: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -364,17 +368,65 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     trivial floor, e.g. 1.0 for ``lnstar`` and 6.0 for ``instar`` at n = 8
     on grid 8.
 
-    At a grid point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y)
-    only at the node images y = j sigma / 4n.  Their j[:3] is
-    (u + 4v, u + 4w, u) mod 4n, so they fill the node group
-    Z_4n x Z_n x Z_n, and k'.y = u (k'_1 + k'_2 + k'_3) / 4n + v k'_1 / n
-    + w k'_2 / n for k' = to_reduced(k).  Per point the phases
-    w_k exp(2 pi i k'.p) (products of per-axis exps over [-n, n]) are added
-    into their class (k'_1 + k'_2 + k'_3 mod 4n, k'_1 mod n, k'_2 mod n),
-    where boundary frequencies of H_n* alias, and one FFT of size
-    4n x n x n gives K(p - y) on the whole group.  Points go in chunks
-    that cap every array a chunk forms at 2^20 complex elements per
-    worker.
+    Lambda = sum_j |ell_j| takes one value on each class of points under
+    its symmetries, so it is evaluated at one grid point per class
+    (``_representatives``) and the maximum is taken over those.  Every
+    kind's Lambda is invariant under translations by zero-sum integer
+    vectors, the periods of every phi_k, and under t -> -t rho, rho
+    reversing the coordinates: the node and frequency sets S satisfy
+    -S rho = S and the weights agree on both.  ``instar``, ``ln`` and
+    ``lnstar`` are S4-invariant as well, since their node sets and
+    weights are; ``in`` is not, its H_n is half open.
+    ``dodeca_grid(4)`` has 64 points in 8 classes under all three, and
+    ``tetra_grid(6)`` 84 points in 50.  On one thread of a 2-CPU Xeon,
+    ``fcc-trig lebesgue --n 16`` (grid 25) takes 0.9 s for ``instar``
+    (455 classes of 15,625 points) in place of 11.1 s point by point,
+    9.1 s for ``in`` (8,215 classes) in place of 13.6 s, and 1.7 s for
+    ``lnstar`` (1,729 classes of 3,276 points) in place of 2.1 s.
+    """
+    node_set(kind, n)  # an unknown kind or a degree it lacks, before the grid
+    spec = _KINDS[kind]
+    pts = spec.grid(grid_per_axis)
+    rep, _ = _representatives(pts, spec.s4)
+    return float(_lebesgue_function(n, kind, pts[rep]).max())
+
+
+def _representatives(pts: np.ndarray, s4: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The first point of every class of pts under translations by zero-sum
+    integer vectors, t -> -t rho and, when s4, S4; and the class of every
+    point, indexing the first array.
+
+    A class is keyed by the fold of t into Omega_H, sorted descending for
+    S4, rounded to 2^-30.  -Omega_H rho is Omega_H with the same half-open
+    faces, so the key of -t rho is the key of t reversed and negated, and
+    the lexicographically smaller of the two is the class key.  Equal keys are one class; a
+    class whose keys round apart is scanned twice, which costs one point.
+    """
+    t = fold_to_omega_H(pts)
+    if s4:
+        t = -np.sort(-t, axis=-1)
+    key = np.rint(t * 2.0**30).astype(np.int64)
+    flip = -key[:, ::-1]
+    diff = flip - key
+    first = diff[np.arange(len(key)), (diff != 0).argmax(axis=1)]
+    key[first < 0] = flip[first < 0]
+    _, rep, cls = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    return rep, cls.ravel()  # numpy 2.0.0 returns the classes as a column
+
+
+def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
+    """Lambda(t) = sum_j |ell_j(t)| at the homogeneous points pts (m, 4).
+
+    At a point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y) only at
+    the node images y = j sigma / 4n.  Their j[:3] is (u + 4v, u + 4w, u)
+    mod 4n, so they fill the node group Z_4n x Z_n x Z_n, and k'.y =
+    u (k'_1 + k'_2 + k'_3) / 4n + v k'_1 / n + w k'_2 / n for k' =
+    to_reduced(k).  Per point the phases w_k exp(2 pi i k'.p) (products of
+    per-axis exps over [-n, n]) are added into their class
+    (k'_1 + k'_2 + k'_3 mod 4n, k'_1 mod n, k'_2 mod n), where boundary
+    frequencies of H_n* alias, and one FFT of size 4n x n x n gives
+    K(p - y) on the whole group.  Points go in chunks that cap every array
+    a chunk forms at 2^20 complex elements per worker.
     """
     nodes, spec, size = node_set(kind, n), _KINDS[kind], 4 * n
     group, cells, d = (size, n, n), 4 * n**3, 2 * n + 1
@@ -407,7 +459,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     factor = np.full(len(nodes), spec.factor(n), dtype=float)
     freq = 2j * np.pi * np.arange(-n, n + 1)
 
-    def chunk(p: np.ndarray) -> float:
+    def chunk(p: np.ndarray) -> np.ndarray:
         m = len(p)
         e = np.exp(freq[:, None, None] * (p[:, :3] % 1.0).T)  # (2n + 1, 3, m)
         e01 = np.zeros((d * d + 1, m), dtype=complex)
@@ -419,8 +471,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
         g = ph[:cells].reshape(*group, m)
         np.fft.fftn(g, axes=(0, 1, 2), out=g)
         ell = signs @ ph[at].reshape(len(signs), -1).view(float)
-        return float((factor @ np.abs(ell.view(complex).reshape(-1, m))).max())
+        return factor @ np.abs(ell.view(complex).reshape(-1, m))
 
-    pts = spec.grid(grid_per_axis)
     step = max(1, _CHUNK_ELEMENTS // max(rows.shape[1], at.size, d * d + 1))
-    return max(map_chunks(chunk, [pts[i : i + step] for i in range(0, len(pts), step)]))
+    return np.concatenate(map_chunks(chunk, [pts[i : i + step] for i in range(0, len(pts), step)]))

@@ -158,11 +158,20 @@ class TrigPoly:
         object.__setattr__(self, "box", box)
 
     @classmethod
+    def _own(cls, box: np.ndarray) -> TrigPoly:
+        """The TrigPoly of box itself, made read-only: for a builder's fresh
+        complex cube, which no one else holds, so it needs no copy."""
+        box.flags.writeable = False
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "box", box)
+        return poly
+
+    @classmethod
     def _place(cls, kk: np.ndarray, c, n: int) -> TrigPoly:
         """Degree n, coefficients c at the rows kk of H_n* and 0 elsewhere."""
         box = np.zeros((2 * n + 1,) * 3, dtype=complex)
         box[tuple((to_reduced(kk) + n).T)] = c
-        return cls(box)
+        return cls._own(box)
 
     @property
     def degree(self) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fcctrig import _parallel
+from fcctrig import _parallel, interpolation
 from fcctrig._parallel import map_chunks, thread_count
 from fcctrig.interpolation import lebesgue_interp
 
@@ -81,8 +81,16 @@ def test_importing_the_cli_loads_no_executor():
 
 def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
     # lebesgue_interp is the one scan that threads; each scan below splits
-    # into several chunks (3 and 2), so two workers (on a host with two CPUs
-    # or more) really share them; the results must agree to the last bit
+    # into several chunks, so two workers (on a host with two CPUs or more)
+    # really share them; the results must agree to the last bit
+    chunks = []
+
+    def spy(fn, parts):
+        parts = list(parts)
+        chunks.append(len(parts))
+        return map_chunks(fn, parts)
+
+    monkeypatch.setattr(interpolation, "map_chunks", spy)
     scans = [
         lambda: lebesgue_interp(16, "lnstar", grid_per_axis=7),
         lambda: lebesgue_interp(16, "in", grid_per_axis=5),
@@ -92,3 +100,4 @@ def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
         serial = scan()
         monkeypatch.setenv("FCC_TRIG_THREADS", "2")
         assert scan() == serial
+    assert len(chunks) == 4 and min(chunks) >= 2, chunks

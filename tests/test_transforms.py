@@ -14,7 +14,7 @@ from fcctrig.indexsets import (
     to_reduced,
     weight_lambda,
 )
-from fcctrig.interpolation import dodeca_grid
+from fcctrig.interpolation import BUILDERS, dodeca_grid
 from fcctrig.kernels import dirichlet, dirichlet_direct
 from fcctrig.lattice import phi
 from fcctrig.transforms import (
@@ -455,6 +455,25 @@ def test_trig_poly_keeps_a_read_only_copy():
     assert poly(np.zeros(4)) == 0
     with pytest.raises(ValueError, match="read-only"):
         poly.box[1, 1, 1] = 1.0
+    # a complex box is copied as well, and the caller's array stays writable
+    box = np.zeros((3, 3, 3), dtype=complex)
+    poly = TrigPoly(box)
+    box[1, 1, 1] = 5.0
+    assert poly(np.zeros(4)) == 0
+
+
+def test_builders_keep_their_fresh_boxes(monkeypatch):
+    # the builders make each box themselves, so their TrigPoly keeps it
+    # without the constructor's copy (4.4 MB per box at n = 32)
+    def copy(self):
+        raise AssertionError("box copied")
+
+    want = [build(one, 3)(np.zeros(4)) for build in BUILDERS.values()]
+    monkeypatch.setattr(TrigPoly, "__post_init__", copy)
+    assert [build(one, 3).poly(np.zeros(4)) for build in BUILDERS.values()] == want
+    for poly in (fourier_coeffs(one, 2), BUILDERS["lnstar"](one, 2).poly):
+        with pytest.raises(ValueError, match="read-only"):
+            poly.box[0, 0, 0] = 1.0
 
 
 def test_partial_sum_projection_idempotent():
