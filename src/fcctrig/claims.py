@@ -5,7 +5,8 @@ the claim has them, and returns what it measured: an exact claim returns
 how far its counts or rational sums are off (0 when it holds), the others
 their largest absolute error.  Tolerances stay with the callers,
 ``fcc-trig verify`` and ``tests/test_acceptance.py``, so no change here can
-loosen a check.
+loosen a check.  Node-sum claims take one inverse FFT of a rule's weights
+binned on the node group (``interpolation._node_cells``); dense sums are the test oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .indexsets import (
     stratum_counts,
 )
 from . import kernels
-from .interpolation import BUILDERS
-from .lattice import _expsum
-from .transforms import cubature_tetra
+from .interpolation import BUILDERS, _freq_cells, _node_cells
+from .symmetry import PERM_TABLE
 from .trigbasis import tc, tc_direct, ts, ts_direct
 
 
@@ -35,9 +35,10 @@ def _err(got, want) -> float:
     return float(np.abs(np.asarray(got) - want).max(initial=0.0))
 
 
-def _phis(nodes: np.ndarray, n: int, freqs: np.ndarray) -> np.ndarray:
-    """phi_k(j / 4n) for nodes j (rows) and frequencies k (columns)."""
-    return _expsum(freqs, nodes.astype(float) / (4.0 * n))
+def _rule(nodes: np.ndarray, w, n: int) -> np.ndarray:
+    """(1/4n^3) sum_j w_j phi_k(j / 4n) on every cell of k: a bincount, an inverse FFT."""
+    cells = np.bincount(_node_cells(nodes, n), np.broadcast_to(w, len(nodes)), 4 * n**3)
+    return np.fft.ifftn(cells.reshape(4 * n, n, n)).ravel()
 
 
 def cardinalities(n: int) -> int:
@@ -63,27 +64,27 @@ def weight_sums(n: int) -> Fraction:
 
 def orthonormality(n: int) -> float:
     """Max |G - I| over the Gram matrices of phi_k, k in H_n, under the node
-    average over H_n and under the weighted rule over H_n*."""
+    average over H_n and the weighted rule over H_n*; G[k, l] = rule at cell(l - k)."""
     hn, star = generate_Hn(n), generate_Hn_star(n)
-    worst = 0.0
-    for nodes, w in ((hn, 1.0), (star, 1.0 / _star_sizes(n))):
-        e = _phis(nodes, n, hn)
-        gram = np.conj(e * np.reshape(w, (-1, 1))).T @ e / (4 * n**3)
-        worst = max(worst, _err(gram, np.eye(len(hn))))
-    return worst
+    if np.bincount(_freq_cells(hn, n)).max() > 1:
+        return 1.0
+    rules = ((hn, 1.0), (star, 1.0 / _star_sizes(n)))
+    return max(_err(_rule(j, w, n), np.arange(4 * n**3) == 0) for j, w in rules)
 
 
 def dodeca_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*."""
-    star, big = generate_Hn_star(n), generate_Hn_star(2 * n - 1)
-    vals = (1.0 / _star_sizes(n)) @ _phis(star, n, big) / (4 * n**3)
+    big = generate_Hn_star(2 * n - 1)
+    vals = _rule(generate_Hn_star(n), 1.0 / _star_sizes(n), n)[_freq_cells(big, n)]
     return _err(vals, np.all(big == 0, axis=1))
 
 
 def tetra_cubature(n: int) -> float:
-    """Max |rule - delta_k0| of ``cubature_tetra`` on TC_k, k in Lambda_{2n-1}."""
-    return max(abs(cubature_tetra(lambda t: tc(k, t), n) - (not k.any()))
-               for k in lambda_nodes(2 * n - 1))
+    """Max |rule - delta_k0| of the tetrahedral rule on TC_k, the mean of
+    phi_{k sigma} over the 24 permutations sigma, for k in Lambda_{2n-1}."""
+    ks = lambda_nodes(2 * n - 1)
+    vals = _rule(lambda_nodes(n), lambda_weights(n), n)[_freq_cells(ks[:, PERM_TABLE], n)]
+    return _err(vals.mean(axis=1), np.all(ks == 0, axis=1))
 
 
 def compact_kernels(n: int, t) -> dict:
@@ -118,6 +119,6 @@ def interpolation_condition(kind: str, n: int, f) -> float:
     pts = interp.nodes / (4.0 * n)
     want = np.asarray(f(pts), dtype=float)
     if kind == "instar":
-        _, cls = np.unique(interp.nodes[:, :3] % (4 * n), axis=0, return_inverse=True)
+        cls = _node_cells(interp.nodes, n)
         want = np.bincount(cls, weights=want)[cls]
     return _err(interp(pts), want)

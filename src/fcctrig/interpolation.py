@@ -414,25 +414,35 @@ def _representatives(pts: np.ndarray, s4: bool) -> tuple[np.ndarray, np.ndarray]
     return rep, cls.ravel()  # numpy 2.0.0 returns the classes as a column
 
 
+def _node_cells(j: np.ndarray, n: int) -> np.ndarray:
+    """Flat cells (j_3, (j_1 - j_3)/4, (j_2 - j_3)/4) of nodes j (..., 4) in the
+    node group Z_4n x Z_n x Z_n: two nodes share one iff they share j[:3] mod 4n."""
+    d = (j[..., :2] - j[..., 2:3]) // 4
+    return np.ravel_multi_index((j[..., 2], d[..., 0], d[..., 1]), (4 * n, n, n), mode="wrap")
+
+
+def _freq_cells(k: np.ndarray, n: int) -> np.ndarray:
+    """Flat dual cells (k'_1 + k'_2 + k'_3, k'_1, k'_2) of frequencies k (..., 4),
+    k' = to_reduced(k): phi_k(j / 4n) is the character of k's cell at j's cell."""
+    kp = to_reduced(k)
+    return np.ravel_multi_index((kp.sum(-1), kp[..., 0], kp[..., 1]), (4 * n, n, n), mode="wrap")
+
+
 def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
     """Lambda(t) = sum_j |ell_j(t)| at the homogeneous points pts (m, 4).
 
     At a point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y) only at
-    the node images y = j sigma / 4n.  Their j[:3] is (u + 4v, u + 4w, u)
-    mod 4n, so they fill the node group Z_4n x Z_n x Z_n, and k'.y =
-    u (k'_1 + k'_2 + k'_3) / 4n + v k'_1 / n + w k'_2 / n for k' =
-    to_reduced(k).  Per point the phases w_k exp(2 pi i k'.p) (products of
-    per-axis exps over [-n, n]) are added into their class
-    (k'_1 + k'_2 + k'_3 mod 4n, k'_1 mod n, k'_2 mod n), where boundary
-    frequencies of H_n* alias, and one FFT of size 4n x n x n gives
-    K(p - y) on the whole group.  Points go in chunks that cap every array
-    a chunk forms at 2^20 complex elements per worker.
+    the node images y = j sigma / 4n, which fill the node group of
+    ``_node_cells``.  Per point the phases w_k exp(2 pi i k'.p) (products of
+    per-axis exps over [-n, n]) are added into the cell of k
+    (``_freq_cells``), where boundary frequencies of H_n* alias, and one FFT
+    of size 4n x n x n gives K(p - y) on the whole group.  Points go in
+    chunks that cap every array a chunk forms at 2^20 complex elements.
     """
-    nodes, spec, size = node_set(kind, n), _KINDS[kind], 4 * n
-    group, cells, d = (size, n, n), 4 * n**3, 2 * n + 1
+    nodes, spec = node_set(kind, n), _KINDS[kind]
+    group, cells, d = (4 * n, n, n), 4 * n**3, 2 * n + 1
     kk = spec.freqs(n)
-    kp = to_reduced(kk)
-    cls = np.ravel_multi_index((kp.sum(axis=1) % size, kp[:, 0] % n, kp[:, 1] % n), group)
+    kp, cls = to_reduced(kk), _freq_cells(kk, n)
     wvals, widx = np.unique(np.broadcast_to(spec.weights(n), len(kk)), return_inverse=True)
     # per frequency: its row of the (k'_1, k'_2) exps and of the weighted
     # k'_3 exps; row d * d of the former is zero
@@ -453,8 +463,7 @@ def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
         end += len(lv)
     # group cell of every image j sigma of every node, (images, nodes)
     js = nodes[:, PERM_TABLE[: len(spec.signs)]].transpose(1, 0, 2)
-    at = np.ravel_multi_index((js[..., 2] % size, (js[..., 0] - js[..., 2]) // 4 % n,
-                               (js[..., 1] - js[..., 2]) // 4 % n), group)
+    at = _node_cells(js, n)
     signs = spec.signs / len(spec.signs)
     factor = np.full(len(nodes), spec.factor(n), dtype=float)
     freq = 2j * np.pi * np.arange(-n, n + 1)

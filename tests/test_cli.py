@@ -378,6 +378,14 @@ def test_verify_passes(capsys):
     assert any("interpolation condition" in l for l in lines)
 
 
+def test_verify_passes_at_degree_8(capsys):
+    # the claims' node sums are bounded by the 4n^3 node group; as nodes x
+    # frequencies matrices they needed 1.2 GB here
+    code, out, _ = run(capsys, "verify", "--n", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "all checks passed"
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_verify_rejects_degree_below_one(capsys, n):
     code, out, err = run(capsys, "verify", "--n", n)
