@@ -114,11 +114,11 @@ def interpolation_condition(kind: str, n: int, f) -> float:
     """Max |I f - f| at the nodes of one operator, for real-valued f; 0.0 on
     an empty node set (``ln`` below degree 4).  For ``instar`` the target at
     a node is the sum of f over its congruence class, the nodes that share
-    j[:3] mod 4n."""
-    interp = BUILDERS[kind](f, n)
-    pts = interp.nodes / (4.0 * n)
-    want = np.asarray(f(pts), dtype=float)
+    j[:3] mod 4n, the cell of the 4n grid where the interpolant is read."""
+    interp, q = BUILDERS[kind](f, n), 4 * n
+    want = np.asarray(f(interp.nodes / q), dtype=float)
     if kind == "instar":
         cls = _node_cells(interp.nodes, n)
         want = np.bincount(cls, weights=want)[cls]
-    return _err(interp(pts), want)
+    got = np.concatenate([*interp.poly._cell_slabs(q)]).ravel()
+    return _err(got[np.ravel_multi_index(interp.nodes[:, :3].T, (q,) * 3, mode="wrap")], want)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import claims, indexsets, interpolation, kernels, lattice, transforms, trigbasis
+from . import claims, indexsets, interpolation, lattice, transforms, trigbasis
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,18 +175,17 @@ def cmd_nodes(args) -> int:
 
 def cmd_kernel(args) -> int:
     n, name = indexsets._degree(args.n), args.f
-    if name == "phi":
-        fn = _builtin("phi", _parse_k(args.k) if args.k else None)
-    elif name == "phin":
-        # Phi_n as its coefficient box; the direct sum forms points x 4n^3 exponentials
-        fn = transforms.TrigPoly._place(indexsets.generate_Hn(n), 1 / (4 * n**3), n)
-    else:
-        kernel = {"theta": kernels.theta_n, "dirichlet": kernels.dirichlet,
-                  "phistar": kernels.phi_n_star}[name]
-        fn = lambda t: kernel(n, t)
     grid = interpolation.dodeca_grid(args.grid)
+    if name == "phi":
+        vals = _builtin("phi", _parse_k(args.k) if args.k else None)(grid)
+    else:
+        # grid folds the cell grid row for row; a box equal to its conjugate reflection is real
+        poly = transforms._KERNEL_BOXES[name](n)
+        vals = np.concatenate([*poly._cell_slabs(args.grid)]).ravel()
+        if np.array_equal(poly.box, poly.box[::-1, ::-1, ::-1].conj()):
+            vals = vals.real
     obj = {"kernel": name, "n": n, "grid": args.grid}
-    _emit(args, _table(args, obj, "values", _values(grid, fn(grid))))
+    _emit(args, _table(args, obj, "values", _values(grid, vals)))
     return EXIT_OK
 
 
@@ -215,6 +214,9 @@ def _read_samples(path, kind, n):
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise ValueError("sample file needs the header j1,j2,j3,j4,re,im")
         for row in reader:
+            if None in row or None in row.values():  # extra cells, missing cells
+                raise ValueError(f"sample file line {reader.line_num} does not have one cell "
+                                 "per header column")
             key = tuple(int(row[c]) for c in ("j1", "j2", "j3", "j4"))
             if key in values:
                 raise ValueError(f"sample file lists node {key} twice")

@@ -65,7 +65,6 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
-    _star_sizes,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -79,7 +78,7 @@ from .kernels import phi_n_star, theta_n
 from .lattice import _box, _points, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .tetra import point_h_to_regular, point_regular_to_h
-from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, unit_cell_points
+from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, _star_weights, unit_cell_points
 from .trigbasis import tc, ts
 
 def node_set(kind: str, n: int) -> np.ndarray:
@@ -179,10 +178,6 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 # first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
 # n (a scalar or one per node), and the evaluation grid.
 _Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
-
-
-def _star_weights(n: int) -> np.ndarray:
-    return 1.0 / (4 * n**3 * _star_sizes(n))
 
 
 _KINDS = {

@@ -2,11 +2,10 @@
 
 Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set in fixed lexicographic order.  The
-compact forms are production code only for the ``kernel`` CLI command;
-interpolation, the Lebesgue scans and Fourier coefficients work on
-coefficient boxes, FFTs of node or cell samples and the node group
-(``interpolation``, ``transforms``), and the compact and direct forms are
-their oracles.  All kernels accept arrays of points of shape (..., 4) and
+compact forms are oracles only: the ``kernel`` command, interpolation, the
+Lebesgue scans and Fourier coefficients work on coefficient boxes, FFTs of
+node or cell samples and the node group, and are tested against the compact
+and direct forms.  All kernels accept arrays of points of shape (..., 4) and
 broadcast; ``lattice._points`` rejects any other last axis.
 
 Singularity policy: the compact forms are built from ratios

@@ -11,7 +11,7 @@ for trigonometric polynomials it is exact once the per-axis order exceeds
 the bandwidth, so the oracle values in the tests are exact up to rounding.
 
 ``TrigPoly``, a (2n+1)^3 box of coefficients, is the one form of a trig
-polynomial: Fourier partial sums, interpolants and D_n are each one.
+polynomial: Fourier partial sums, interpolants and the kernels are each one.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexsets import (
+    _degree,
     _star_sizes,
     generate_Hn,
     generate_Hn_star,
@@ -199,6 +200,17 @@ class TrigPoly:
             out[i : i + rows] = np.einsum("pc,pc->p", g, e[:, 2])
         return out.reshape(t.shape[:-1])
 
+    def _cell_slabs(self, q: int):
+        """The values at the q^3 cell grid t[:3] = u / q in ``unit_cell_points(q)``
+        order: slabs (rows, q, q) of max(1, 2^20 // max(q, d)^2) rows u_0, d = 2n + 1,
+        each the box contracted axis by axis with exp(2 pi i k u / q), so no
+        array a slab forms exceeds max(2^20, max(q, d)^2) complex numbers."""
+        box, d = self.box, len(self.box)
+        e = np.exp((np.arange(q) / q)[:, None] * (2j * np.pi * np.arange(-(d // 2), d // 2 + 1)))
+        rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 2)
+        for i in range(0, q, rows):
+            yield e @ (e[i : i + rows] @ box.reshape(d, d * d)).reshape(-1, d, d) @ e.T
+
 
 def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     """Degree-n Fourier partial sum of f on the star frequency set.
@@ -214,6 +226,28 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     return TrigPoly._place(kk, np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3, n)
 
 
+def _star_weights(n: int) -> np.ndarray:
+    """c_k / 4n^3 at the rows k of H_n*: the coefficients of Phi_n*."""
+    return 1.0 / (4 * n**3 * _star_sizes(n))
+
+
+def _rho(n: int) -> np.ndarray:
+    """rho(k') = max(0, k') - min(0, k') on the (2n+1)^3 box of k' in [-n, n]^3.
+    k is in H_m* iff rho(k') <= m, so D_m is 1 where rho <= m, and theta_n =
+    sum_{m < n} D_m, D_0 = 1, is max(0, n - rho) on [1 - n, n - 1]^3."""
+    k = _box(-n, n)
+    return (k.max(axis=1, initial=0) - k.min(axis=1, initial=0)).reshape((2 * n + 1,) * 3)
+
+
+# the coefficient box of every compact kernel, by its ``fcc-trig kernel --f`` name
+_KERNEL_BOXES = {
+    "theta": lambda n: TrigPoly._own(np.maximum(n - _rho(_degree(n) - 1), 0).astype(complex)),
+    "dirichlet": lambda n: TrigPoly._own((_rho(_degree(n)) <= n).astype(complex)),
+    "phistar": lambda n: TrigPoly._place(generate_Hn_star(n), _star_weights(n), n),
+    "phin": lambda n: TrigPoly._place(generate_Hn(n), 1.0 / (4 * n**3), n),
+}
+
+
 def lebesgue_Sn(n: int, grid_per_axis=None, quad_order: int = 64) -> float:
     """The norm of the partial-sum operator S_n, the integral of |D_n|, by
     the q-point rule: the mean of |D_n(s)| over the q^3 unit-cell grid s[:3]
@@ -221,23 +255,13 @@ def lebesgue_Sn(n: int, grid_per_axis=None, quad_order: int = 64) -> float:
     does not depend on t.  The rule is not exact (|D_n| is not a trig
     polynomial): the mean of |D_4| is 6.936858 at q = 24 against 6.927542
     at q = 128.  D_n is the (2n+1)^3 box of ones at to_reduced(H_n*) + n,
-    contracted one axis at a time with the q x (2n+1) matrix
-    exp(-2 pi i k u / q), in slabs of max(1, 2^20 // max(q, 2n + 1)^2) rows
-    u_0, so no array exceeds max(2^20, max(q, 2n + 1)^2) complex numbers.
-    grid_per_axis is deprecated and ignored.
+    read on the grid by ``TrigPoly._cell_slabs``.  grid_per_axis is
+    deprecated and ignored.
     """
     if grid_per_axis is not None:
         warnings.warn("lebesgue_Sn does not scan a grid: grid_per_axis is ignored",
                       DeprecationWarning, stacklevel=2)
     if operator.index(quad_order) < 2:
         raise ValueError("quadrature order must be at least 2")
-    kk = generate_Hn_star(n)  # raises for n < 1 before the box is sized
-    d, q = 2 * n + 1, quad_order
-    box = TrigPoly._place(kk, 1.0, n).box.reshape(d, d * d)
-    e = np.exp(-(np.arange(q) / q)[:, None] * (2j * np.pi * np.arange(-n, n + 1)))  # (q, d)
-    rows = max(1, _CHUNK_ELEMENTS // max(q, d) ** 2)
-    total = 0.0
-    for i in range(0, q, rows):
-        g = (e[i : i + rows] @ box).reshape(-1, d, d)
-        total += np.abs(e @ g @ e.T).sum()  # (rows, q, q)
-    return float(total / q**3)
+    slabs = _KERNEL_BOXES["dirichlet"](n)._cell_slabs(quad_order)
+    return float(sum(np.abs(s).sum() for s in slabs) / quad_order**3)

@@ -9,10 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fcctrig import claims, cli
+from fcctrig import claims, cli, kernels
 from fcctrig.indexsets import generate_Hn_star, lambda_nodes
-from fcctrig.interpolation import dodeca_grid, from_node_values, node_set
-from fcctrig.kernels import dirichlet, phi_n_fund
+from fcctrig.interpolation import KINDS, dodeca_grid, from_node_values, node_set
+from fcctrig.kernels import dirichlet, dirichlet_direct, phi_n_fund, phi_n_star_direct
 
 
 def run(capsys, *argv):
@@ -131,6 +131,48 @@ def test_kernel_phin_matches_the_direct_sum(capsys):
     _, rows = parse_csv(out)
     got = np.array([complex(float(r[4]), float(r[5])) for r in rows])
     assert np.abs(got - phi_n_fund(3, dodeca_grid(4))).max() < 1e-12
+
+
+# the direct exponential sum of every kernel kernel --f evaluates from its box;
+# theta_n = sum_{m < n} D_m with D_0 = 1
+KERNEL_ORACLES = {
+    "theta": lambda n, t: 1.0 + sum(dirichlet_direct(m, t) for m in range(1, n)),
+    "dirichlet": dirichlet_direct,
+    "phistar": phi_n_star_direct,
+    "phin": phi_n_fund,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("f", sorted(KERNEL_ORACLES))
+def test_kernel_matches_its_direct_oracle(capsys, f, n):
+    for g in range(4, 9):
+        code, out, _ = run(capsys, "kernel", "--f", f, "--n", str(n), "--grid", str(g))
+        assert code == 0
+        _, rows = parse_csv(out)
+        grid = dodeca_grid(g)
+        assert [[float(v) for v in r[:4]] for r in rows] == grid.tolist()
+        got = np.array([complex(float(r[4]), float(r[5])) for r in rows])
+        want = KERNEL_ORACLES[f](n, grid)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        # theta, D_n and Phi_n* are real and print im as 0.0; Phi_n is not
+        assert ({r[5] for r in rows} == {"0.0"}) == (f != "phin")
+
+
+def test_no_production_path_calls_a_compact_kernel(capsys, monkeypatch):
+    # the compact forms are oracles: the kernel table, the interpolants and
+    # both Lebesgue estimates must run without a sine ratio
+    def compact(*_):
+        raise AssertionError("a compact kernel was called")
+
+    monkeypatch.setattr(kernels, "sine_ratio", compact)
+    argvs = [("kernel", "--f", f, "--n", "3") for f in sorted(KERNEL_ORACLES)]
+    argvs += [("interpolate", "--kind", k, "--f", "expsin", "--n", "4", "--grid", "4")
+              for k in KINDS]
+    argvs += [("lebesgue", "--kind", k, "--n", "4", "--grid", "4") for k in KINDS]
+    argvs.append(("lebesgue", "--kind", "sn", "--n", "4", "--quad", "8"))
+    for argv in argvs:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_kernel_phin_memory_is_bounded(capsys):
@@ -281,6 +323,18 @@ def test_interpolate_samples_rejects_nan(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"node value at {tuple(int(v) for v in nodes[4])} is not finite" in err
+
+
+@pytest.mark.parametrize("row", ["0,0,0,0", "0,0,0,0,1.0,0.0,9"], ids=["short", "long"])
+def test_interpolate_samples_rejects_a_row_of_another_length(tmp_path, capsys, row):
+    # a short row used to raise TypeError from float(None); a long one lost its extra cells
+    path = tmp_path / "ragged.csv"
+    path.write_text(f"j1,j2,j3,j4,re,im\n{row}\n")
+    code, out, err = run(capsys, "interpolate", "--kind", "instar", "--n", "1",
+                         "--samples", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: sample file line 2 does not have one cell per header column\n"
 
 
 def test_interpolate_samples_bad_header(tmp_path, capsys):
@@ -565,9 +619,9 @@ OUTPUT_SHA256 = {
     ("verify", "--n", "3"):
         "447c98033b045676a4a94cd0eeb23b076ccafce97295aace694b3f61376e7890",
     ("kernel", "--f", "dirichlet", "--n", "2", "--grid", "4"):
-        "573b80ee537c2f840a88479171eab64817cadb6bc87f1c575fab4d0c9d494870",
+        "e865a665ee8bb8f1967bbf07dea0b5bac8b88ce0a52aff961b3cb2096a6f7996",
     ("kernel", "--f", "dirichlet", "--n", "2", "--grid", "4", "--format", "json"):
-        "480b656f13874ffffb10295be9e085ab34b2df110989ac5cd28bf008dd4c9b2b",
+        "f0f78bd673b1a52522993b61e939c0b4a4aea15304d40ea7725bd186d013e3cd",
     ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "3", "--grid", "4"):
         "a35a431d14d94446df73e5d377721c16ec6d609bda381a17dc46e8464bc08b3a",
     ("interpolate", "--kind", "lnstar", "--f", "expsin", "--n", "3", "--grid", "4",

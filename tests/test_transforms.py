@@ -15,7 +15,7 @@ from fcctrig.indexsets import (
     weight_lambda,
 )
 from fcctrig.interpolation import BUILDERS, dodeca_grid
-from fcctrig.kernels import dirichlet, dirichlet_direct
+from fcctrig.kernels import dirichlet, dirichlet_direct, theta_n
 from fcctrig.lattice import phi
 from fcctrig.transforms import (
     continuous_inner,
@@ -30,6 +30,7 @@ from fcctrig.transforms import (
     lebesgue_Sn,
     one,
     TrigPoly,
+    _KERNEL_BOXES,
     unit_cell_points,
 )
 from fcctrig.trigbasis import tc, tc_orthogonality_value, ts
@@ -520,6 +521,40 @@ def test_lebesgue_Sn_slabs_match_the_direct_oracle(rows, monkeypatch):
     s = unit_cell_points(7)
     want = float(np.abs(dirichlet_direct(3, -s)).mean())
     assert abs(lebesgue_Sn(3, quad_order=7) - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("n, q", [(3, 4), (2, 5), (1, 7), (4, 2)])
+def test_cell_slabs_match_pointwise_evaluation(n, q, rows, monkeypatch):
+    # q < 2n + 1 (frequencies alias on the grid), odd q and q = 2, in one
+    # slab and in slabs of 1 and 3 rows u_0
+    import fcctrig.transforms
+
+    if rows is not None:
+        monkeypatch.setattr(fcctrig.transforms, "_CHUNK_ELEMENTS", rows * max(q, 2 * n + 1) ** 2)
+    rng = np.random.default_rng(n * 10 + q)
+    poly = TrigPoly(rng.normal(size=(2 * n + 1,) * 3) + 1j * rng.normal(size=(2 * n + 1,) * 3))
+    slabs = list(poly._cell_slabs(q))
+    assert [len(s) for s in slabs[:-1]] == [rows or q] * (len(slabs) - 1)
+    want = poly(unit_cell_points(q))
+    assert np.abs(np.concatenate(slabs).ravel() - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_dirichlet_and_theta_boxes(n):
+    # D_n, the box lebesgue_Sn reads, is ones exactly at to_reduced(H_n*) + n.
+    # theta_n = sum_{m < n} D_m with D_0 = 1; from n = 3 on some k' in its
+    # box lie in no H_m*, m < n, and the count n - rho(k') goes negative
+    box = _KERNEL_BOXES["dirichlet"](n).box
+    assert np.array_equal(box, TrigPoly._place(generate_Hn_star(n), 1.0, n).box)
+    t = np.random.default_rng(n).uniform(-1.5, 1.5, size=(40, 4))
+    t -= t.mean(axis=1, keepdims=True)
+    got = _KERNEL_BOXES["theta"](n)(t)
+    want = 1.0 + sum(dirichlet_direct(m, t) for m in range(1, n))
+    tol = 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() < tol
+    assert np.abs(got - theta_n(n, t)).max() < tol
+
 
 
 def test_lebesgue_Sn_grid_argument_is_deprecated_and_ignored():
