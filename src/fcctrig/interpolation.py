@@ -42,8 +42,14 @@ bits of fftn and of one gather per image.
 sum_k w_k phi_k(p - y) at every node image y, per grid point p.  The
 images fill the node group Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the
 (4n)^3 torus grid: the frequencies are added into their classes of that
-group and one FFT of size 4n x n x n per point gives the kernel on all
-of it, in chunks of at most 2^20 complex elements per array.  The
+group and one transform of size 4n x n x n per point gives the kernel on
+all of it, in chunks of at most 2^20 elements per array.  For ``in`` it
+is a complex FFT; the other kernels are real (K and the weights are
+closed under k -> -k), so their phases are Hermitian on the group, are
+formed only on its half c_0 <= 2n, and go through one real inverse FFT.
+The fixed part of the scan at one (kind, n), its plan (frequency classes
+and phase rows, node-image cells, signs, factors), is built once: the
+last 8 plans asked for are kept, least recently used out.  The
 Lebesgue function is invariant under translations by zero-sum integer
 vectors, under t -> -t rho (rho reverses the coordinates) and, for all kinds but
 ``in``, under S4, so the scan evaluates it at one grid point per class
@@ -56,6 +62,7 @@ both routes are tested against.  ``regular_interpolate`` drives
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass
@@ -65,6 +72,8 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
+    _CACHED_DEGREES,
+    _degree,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -177,18 +186,18 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 # n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
 # first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
 # n (a scalar or one per node), and the evaluation grid.
-_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
+_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4 real")
 
 
 _KINDS = {
     "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
-                np.ones(1), lambda n: 1.0, dodeca_grid, False),
+                np.ones(1), lambda n: 1.0, dodeca_grid, False, False),
     "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
-                    np.ones(1), lambda n: 1.0, dodeca_grid, True),
+                    np.ones(1), lambda n: 1.0, dodeca_grid, True, True),
     "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
-                PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
+                PERM_SIGNS, lambda n: 1.0, tetra_grid, True, True),
     "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
-                    np.ones(24), lambda_weights, tetra_grid, True),
+                    np.ones(24), lambda_weights, tetra_grid, True, True),
 }
 KINDS = tuple(_KINDS)
 
@@ -374,10 +383,12 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     weights are; ``in`` is not, its H_n is half open.
     ``dodeca_grid(4)`` has 64 points in 8 classes under all three, and
     ``tetra_grid(6)`` 84 points in 50.  On one thread of a 2-CPU Xeon,
-    ``fcc-trig lebesgue --n 16`` (grid 25) takes 0.9 s for ``instar``
-    (455 classes of 15,625 points) in place of 11.1 s point by point,
-    9.1 s for ``in`` (8,215 classes) in place of 13.6 s, and 1.7 s for
-    ``lnstar`` (1,729 classes of 3,276 points) in place of 2.1 s.
+    ``fcc-trig lebesgue --n 16`` (grid 25, wall time with interpreter
+    start) takes 0.6 s for ``instar`` (455 classes of 15,625 points),
+    7.8 s for ``in`` (8,215 classes), 1.1 s for ``lnstar`` (1,729
+    classes of 3,276 points) and 1.1 s for ``ln``; with complex FFTs on
+    the whole group and the setup rebuilt per call, the same host took
+    0.7, 7.9, 1.4 and 1.4 s (point by point, ``instar`` took 11.1 s).
     """
     node_set(kind, n)  # an unknown kind or a degree it lacks, before the grid
     spec = _KINDS[kind]
@@ -423,28 +434,37 @@ def _freq_cells(k: np.ndarray, n: int) -> np.ndarray:
     return np.ravel_multi_index((kp.sum(-1), kp[..., 0], kp[..., 1]), (4 * n, n, n), mode="wrap")
 
 
-def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
-    """Lambda(t) = sum_j |ell_j(t)| at the homogeneous points pts (m, 4).
+# The scan's fixed part at one (kind, n): the phase rows of the first
+# `cells` cells of the node group (the whole group, or for a real kernel
+# the half c_0 <= 2n) followed by one block per collision rank, the `adds`
+# that fold those blocks into their cells, the weight values, the group cell
+# of every node image (images, nodes), the image signs and node factors.
+_Plan = namedtuple("_Plan", "n cells rows adds wvals at signs factor real")
 
-    At a point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y) only at
-    the node images y = j sigma / 4n, which fill the node group of
-    ``_node_cells``.  Per point the phases w_k exp(2 pi i k'.p) (products of
-    per-axis exps over [-n, n]) are added into the cell of k
-    (``_freq_cells``), where boundary frequencies of H_n* alias, and one FFT
-    of size 4n x n x n gives K(p - y) on the whole group.  Points go in
-    chunks that cap every array a chunk forms at 2^20 complex elements.
-    """
+
+def _lebesgue_plan(kind: str, n) -> _Plan:
+    """The scan's read-only plan for ``kind`` at degree n, built once per
+    (kind, n); n goes through ``_degree`` first, so 8 and np.int64(8) share
+    one entry and a bad degree raises without being cached."""
+    return _cached_plan(kind, _degree(n))
+
+
+@functools.lru_cache(maxsize=_CACHED_DEGREES)
+def _cached_plan(kind: str, n: int) -> _Plan:
     nodes, spec = node_set(kind, n), _KINDS[kind]
-    group, cells, d = (4 * n, n, n), 4 * n**3, 2 * n + 1
+    cells, d = (2 * n + 1 if spec.real else 4 * n) * n * n, 2 * n + 1
     kk = spec.freqs(n)
     kp, cls = to_reduced(kk), _freq_cells(kk, n)
     wvals, widx = np.unique(np.broadcast_to(spec.weights(n), len(kk)), return_inverse=True)
     # per frequency: its row of the (k'_1, k'_2) exps and of the weighted
     # k'_3 exps; row d * d of the former is zero
     src = np.stack([(kp[:, 0] + n) * d + kp[:, 1] + n, widx * d + kp[:, 2] + n])
-    # rank of each frequency within its class; phase row c holds the rank-0
-    # member of class c (the zero row when c is empty), and the members of
-    # rank 1, 2, ... follow in one block per rank
+    # only the frequencies of the formed cells; rank of each within its
+    # class; phase row c holds the rank-0 member of class c (the zero row
+    # when c is empty), and the members of rank 1, 2, ... follow in one
+    # block per rank
+    keep = np.flatnonzero(cls < cells)
+    src, cls = src[:, keep], cls[keep]
     order = np.argsort(cls, kind="stable")
     rank = np.empty_like(cls)
     rank[order] = np.arange(len(cls)) - np.searchsorted(cls[order], cls[order])
@@ -458,24 +478,59 @@ def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
         end += len(lv)
     # group cell of every image j sigma of every node, (images, nodes)
     js = nodes[:, PERM_TABLE[: len(spec.signs)]].transpose(1, 0, 2)
-    at = _node_cells(js, n)
-    signs = spec.signs / len(spec.signs)
-    factor = np.full(len(nodes), spec.factor(n), dtype=float)
+    plan = _Plan(n, cells, rows, tuple(adds), wvals, _node_cells(js, n),
+                 spec.signs / len(spec.signs),
+                 np.full(len(nodes), spec.factor(n), dtype=float), spec.real)
+    for a in [rows, wvals, plan.at, plan.signs, plan.factor] + [c for _, c in adds]:
+        a.flags.writeable = False
+    return plan
+
+
+def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
+    """Lambda(t) = sum_j |ell_j(t)| at the homogeneous points pts (m, 4).
+
+    At a point p, ell_j(p) needs K(p - y) = sum_k w_k phi_k(p - y) only at
+    the node images y = j sigma / 4n, which fill the node group of
+    ``_node_cells``.  Per point the phases w_k exp(2 pi i k'.p) (products of
+    per-axis exps over [-n, n]) are added into the cell of k
+    (``_freq_cells``), where boundary frequencies of H_n* alias, and one
+    transform of size 4n x n x n gives K(p - y) on the whole group: the
+    complex FFT for ``in``, and for the real kernels, whose phases are
+    Hermitian on the group, the real inverse FFT of the conjugated phases
+    on the half group c_0 <= 2n.  Points go in chunks that cap every array
+    a chunk forms at 2^20 elements.
+    """
+    plan = _lebesgue_plan(kind, n)
+    # per point: phases, kernel on the group, kernel at the images, exps
+    largest = max(plan.rows.shape[1], 4 * plan.n**3, plan.at.size, (2 * plan.n + 1) ** 2 + 1)
+    step = max(1, _CHUNK_ELEMENTS // largest)
+    chunks = [pts[i : i + step] for i in range(0, len(pts), step)]
+    return np.concatenate(map_chunks(functools.partial(_lebesgue_chunk, plan), chunks))
+
+
+def _lebesgue_chunk(plan: _Plan, p: np.ndarray) -> np.ndarray:
+    """Lambda at the points p (m, 4) from the plan of one (kind, n)."""
+    n, m, d = plan.n, len(p), 2 * plan.n + 1
     freq = 2j * np.pi * np.arange(-n, n + 1)
-
-    def chunk(p: np.ndarray) -> np.ndarray:
-        m = len(p)
-        e = np.exp(freq[:, None, None] * (p[:, :3] % 1.0).T)  # (2n + 1, 3, m)
-        e01 = np.zeros((d * d + 1, m), dtype=complex)
-        e01[:-1] = (e[:, None, 0] * e[None, :, 1]).reshape(-1, m)
-        ph = e01[rows[0]]
-        ph *= (wvals[:, None, None] * e[:, 2]).reshape(-1, m)[rows[1]]
-        for sl, c in adds:
-            ph[c] += ph[sl]
-        g = ph[:cells].reshape(*group, m)
+    e = np.exp(freq[:, None, None] * (p[:, :3] % 1.0).T)  # (2n + 1, 3, m)
+    e01 = np.zeros((d * d + 1, m), dtype=complex)
+    e01[:-1] = (e[:, None, 0] * e[None, :, 1]).reshape(-1, m)
+    ph = e01[plan.rows[0]]
+    ph *= (plan.wvals[:, None, None] * e[:, 2]).reshape(-1, m)[plan.rows[1]]
+    for sl, c in plan.adds:
+        ph[c] += ph[sl]
+    g = ph[: plan.cells].reshape(-1, n, n, m)
+    if plan.real:
+        # irfftn(g.conj(), s=(n, n, 4n), axes=(1, 2, 0), norm="forward") pass
+        # by pass, the complex passes in place: at n = 16 a fresh array per
+        # pass cost more than the passes saved
+        np.conjugate(g, out=g)
+        np.fft.ifft(g, axis=1, norm="forward", out=g)
+        np.fft.ifft(g, axis=2, norm="forward", out=g)
+        g = np.fft.irfft(g, 4 * n, axis=0, norm="forward")
+    else:
         np.fft.fftn(g, axes=(0, 1, 2), out=g)
-        ell = signs @ ph[at].reshape(len(signs), -1).view(float)
-        return factor @ np.abs(ell.view(complex).reshape(-1, m))
-
-    step = max(1, _CHUNK_ELEMENTS // max(rows.shape[1], at.size, d * d + 1))
-    return np.concatenate(map_chunks(chunk, [pts[i : i + step] for i in range(0, len(pts), step)]))
+    # the image sum on the float view (a no-op view for a real kernel), so
+    # a complex kernel's signs multiply floats
+    ell = plan.signs @ g.reshape(-1, m)[plan.at].reshape(len(plan.signs), -1).view(float)
+    return plan.factor @ np.abs(ell.view(g.dtype).reshape(-1, m))

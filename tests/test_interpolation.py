@@ -201,7 +201,9 @@ def test_interp_In_factorized_matches_kernel_sum(kind, n):
     + [("instar", 8, 3), ("lnstar", 8, 5)]
     # grids with many points on faces and at nodes, where the scan's
     # classes of points meet the boundary of the fundamental domain
-    + [("in", 2, 8), ("instar", 4, 8), ("ln", 4, 8), ("lnstar", 4, 8)],
+    + [("in", 2, 8), ("instar", 4, 8), ("ln", 4, 8), ("lnstar", 4, 8)]
+    # a 4 x 1 x 1 node group, whose half group c_0 <= 2n has 3 cells
+    + [("instar", 1, 5), ("lnstar", 1, 5)],
 )
 def test_lebesgue_interp_matches_compact_abs_sum(kind, n, grid):
     pts = tetra_grid(grid) if kind in ("ln", "lnstar") else dodeca_grid(grid)
@@ -265,11 +267,12 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
 
 
 def test_lebesgue_interp_memory_is_bounded(monkeypatch):
-    # every array a chunk forms holds at most 2^20 complex numbers; about
-    # 33 MiB and 9 MiB measured (51 MiB for instar point by point), against
-    # 96 MiB allowed
+    # every array a chunk forms holds at most 2^20 elements; about 22, 6,
+    # 19 and 32 MiB measured, in this order, against 96 MiB allowed (33, 10
+    # and 28 MiB for the real kernels with complex FFTs on the whole group,
+    # 51 MiB for instar point by point)
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
-    for kind, grid in (("lnstar", 6), ("instar", 4)):
+    for kind, grid in (("lnstar", 6), ("instar", 4), ("ln", 6), ("in", 4)):
         tracemalloc.start()
         try:
             lebesgue_interp(16, kind, grid_per_axis=grid)

@@ -94,10 +94,12 @@ def test_lebesgue_scans_do_not_depend_on_thread_count(monkeypatch):
     scans = [
         lambda: lebesgue_interp(16, "lnstar", grid_per_axis=7),
         lambda: lebesgue_interp(16, "in", grid_per_axis=5),
+        lambda: lebesgue_interp(16, "instar", grid_per_axis=12),
+        lambda: lebesgue_interp(16, "ln", grid_per_axis=7),
     ]
     for scan in scans:
         monkeypatch.setenv("FCC_TRIG_THREADS", "1")
         serial = scan()
         monkeypatch.setenv("FCC_TRIG_THREADS", "2")
         assert scan() == serial
-    assert len(chunks) == 4 and min(chunks) >= 2, chunks
+    assert len(chunks) == 8 and min(chunks) >= 2, chunks
