@@ -80,6 +80,9 @@ def test_plan_is_built_once_per_kind_and_degree(plans, monkeypatch):
 def test_plan_degree_is_normalized(plans):
     assert _lebesgue_plan("instar", np.int64(8)) is _lebesgue_plan("instar", 8)
     assert plans.cache_info().currsize == 1
+    # 8.0 == 8 and hashes alike, so only the check before the memo rejects it
+    with pytest.raises(TypeError):
+        _lebesgue_plan("instar", 8.0)
 
 
 @pytest.mark.parametrize(
