@@ -48,8 +48,8 @@ is a complex FFT; the other kernels are real (K and the weights are
 closed under k -> -k), so their phases are Hermitian on the group, are
 formed only on its half c_0 <= 2n, and go through one real inverse FFT.
 The fixed part of the scan at one (kind, n), its plan (frequency classes
-and phase rows, node-image cells, signs, factors), is built once: the
-last 8 plans asked for are kept, least recently used out.  The
+and phase rows, node-image cells, signs, factors), is built once per
+call and shared by all its chunks.  The
 Lebesgue function is invariant under translations by zero-sum integer
 vectors, under t -> -t rho (rho reverses the coordinates) and, for all kinds but
 ``in``, under S4, so the scan evaluates it at one grid point per class
@@ -72,8 +72,6 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
-    _CACHED_DEGREES,
-    _degree,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -185,19 +183,21 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 # One row of the module docstring's table: node set of n, frequency set K of
 # n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
 # first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
-# n (a scalar or one per node), and the evaluation grid.
-_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4 real")
+# n (a scalar or one per node), the evaluation grid, and s4: whether K and
+# its weights are closed under S4 and under k -> -k (all but the half-open
+# H_n), so that the Lebesgue function is S4-invariant and the kernel real.
+_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
 
 
 _KINDS = {
     "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
-                np.ones(1), lambda n: 1.0, dodeca_grid, False, False),
+                np.ones(1), lambda n: 1.0, dodeca_grid, False),
     "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
-                    np.ones(1), lambda n: 1.0, dodeca_grid, True, True),
+                    np.ones(1), lambda n: 1.0, dodeca_grid, True),
     "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
-                PERM_SIGNS, lambda n: 1.0, tetra_grid, True, True),
+                PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
     "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
-                    np.ones(24), lambda_weights, tetra_grid, True, True),
+                    np.ones(24), lambda_weights, tetra_grid, True),
 }
 KINDS = tuple(_KINDS)
 
@@ -384,11 +384,12 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     ``dodeca_grid(4)`` has 64 points in 8 classes under all three, and
     ``tetra_grid(6)`` 84 points in 50.  On one thread of a 2-CPU Xeon,
     ``fcc-trig lebesgue --n 16`` (grid 25, wall time with interpreter
-    start) takes 0.6 s for ``instar`` (455 classes of 15,625 points),
-    7.8 s for ``in`` (8,215 classes), 1.1 s for ``lnstar`` (1,729
-    classes of 3,276 points) and 1.1 s for ``ln``; with complex FFTs on
-    the whole group and the setup rebuilt per call, the same host took
-    0.7, 7.9, 1.4 and 1.4 s (point by point, ``instar`` took 11.1 s).
+    start, median of 6) takes 0.7 s for ``instar`` (455 classes of
+    15,625 points), 8.7 s for ``in`` (8,215 classes), 1.4 s for
+    ``lnstar`` (1,729 classes of 3,276 points) and 1.3 s for ``ln``
+    (0.9, 9.2, 1.5 and 1.8 s in interleaved runs with the complex FFT
+    on the whole group for every kind; point by point, ``instar`` took
+    11.1 s).
     """
     node_set(kind, n)  # an unknown kind or a degree it lacks, before the grid
     spec = _KINDS[kind]
@@ -442,17 +443,10 @@ def _freq_cells(k: np.ndarray, n: int) -> np.ndarray:
 _Plan = namedtuple("_Plan", "n cells rows adds wvals at signs factor real")
 
 
-def _lebesgue_plan(kind: str, n) -> _Plan:
-    """The scan's read-only plan for ``kind`` at degree n, built once per
-    (kind, n); n goes through ``_degree`` first, so 8 and np.int64(8) share
-    one entry and a bad degree raises without being cached."""
-    return _cached_plan(kind, _degree(n))
-
-
-@functools.lru_cache(maxsize=_CACHED_DEGREES)
-def _cached_plan(kind: str, n: int) -> _Plan:
+def _lebesgue_plan(kind: str, n: int) -> _Plan:
+    """The scan's plan for ``kind`` at degree n."""
     nodes, spec = node_set(kind, n), _KINDS[kind]
-    cells, d = (2 * n + 1 if spec.real else 4 * n) * n * n, 2 * n + 1
+    cells, d = (2 * n + 1 if spec.s4 else 4 * n) * n * n, 2 * n + 1
     kk = spec.freqs(n)
     kp, cls = to_reduced(kk), _freq_cells(kk, n)
     wvals, widx = np.unique(np.broadcast_to(spec.weights(n), len(kk)), return_inverse=True)
@@ -478,12 +472,9 @@ def _cached_plan(kind: str, n: int) -> _Plan:
         end += len(lv)
     # group cell of every image j sigma of every node, (images, nodes)
     js = nodes[:, PERM_TABLE[: len(spec.signs)]].transpose(1, 0, 2)
-    plan = _Plan(n, cells, rows, tuple(adds), wvals, _node_cells(js, n),
+    return _Plan(n, cells, rows, adds, wvals, _node_cells(js, n),
                  spec.signs / len(spec.signs),
-                 np.full(len(nodes), spec.factor(n), dtype=float), spec.real)
-    for a in [rows, wvals, plan.at, plan.signs, plan.factor] + [c for _, c in adds]:
-        a.flags.writeable = False
-    return plan
+                 np.full(len(nodes), spec.factor(n), dtype=float), spec.s4)
 
 
 def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
@@ -521,9 +512,9 @@ def _lebesgue_chunk(plan: _Plan, p: np.ndarray) -> np.ndarray:
         ph[c] += ph[sl]
     g = ph[: plan.cells].reshape(-1, n, n, m)
     if plan.real:
-        # irfftn(g.conj(), s=(n, n, 4n), axes=(1, 2, 0), norm="forward") pass
-        # by pass, the complex passes in place: at n = 16 on a 2-CPU Xeon a
-        # fresh array per pass cost more than the pass saved
+        # irfftn(g.conj(), s=(n, n, 4n), axes=(1, 2, 0), norm="forward"),
+        # its complex passes in place: a fresh array per pass costs more
+        # than the pass (one thread, 2-CPU Xeon: 11-18% at n = 16)
         np.conjugate(g, out=g)
         np.fft.ifft(g, axis=1, norm="forward", out=g)
         np.fft.ifft(g, axis=2, norm="forward", out=g)

@@ -267,8 +267,8 @@ def test_evaluation_uses_the_coefficient_box(monkeypatch):
 
 
 def test_lebesgue_interp_memory_is_bounded(monkeypatch):
-    # every array a chunk forms holds at most 2^20 elements; about 22, 6,
-    # 19 and 32 MiB measured, in this order, against 96 MiB allowed (33, 10
+    # every array a chunk forms holds at most 2^20 elements; about 22, 5,
+    # 19 and 32 MiB measured, in this order, against 96 MiB allowed (33, 9
     # and 28 MiB for the real kernels with complex FFTs on the whole group,
     # 51 MiB for instar point by point)
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")

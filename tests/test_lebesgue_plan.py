@@ -1,4 +1,4 @@
-"""The Lebesgue scan's per-(kind, n) plan and the values it gives.
+"""The Lebesgue scan's plan at one (kind, n) and the values it gives.
 
 The pins are ``float.hex`` of ``lebesgue_interp`` from the complex
 transform on the whole node group, recorded before the real kinds moved to
@@ -8,11 +8,8 @@ grid 3, every grid point lies on the boundary, where Lambda is rounding
 noise (about 3e-15) and the two routes differ by about 1e-16 absolute.
 """
 
-import numpy as np
 import pytest
 
-from fcctrig import interpolation
-from fcctrig.indexsets import _CACHED_DEGREES
 from fcctrig.interpolation import _lebesgue_plan, lebesgue_interp
 
 PINS = [
@@ -51,71 +48,6 @@ def test_lebesgue_interp_keeps_its_pinned_values(kind, n, grid, pin):
         assert got.hex() == pin
     else:
         assert abs(got - want) <= 1e-13 * max(1.0, want)
-
-
-@pytest.fixture
-def plans():
-    """The plan memo, emptied before and after the test."""
-    interpolation._cached_plan.cache_clear()
-    yield interpolation._cached_plan
-    interpolation._cached_plan.cache_clear()
-
-
-def test_plan_is_built_once_per_kind_and_degree(plans, monkeypatch):
-    calls = []
-
-    def spy(k, n):
-        calls.append(n)
-        return freq_cells(k, n)
-
-    freq_cells = interpolation._freq_cells
-    monkeypatch.setattr(interpolation, "_freq_cells", spy)
-    lebesgue_interp(4, "lnstar", 5)
-    lebesgue_interp(4, "lnstar", 7)
-    assert calls == [4]
-    lebesgue_interp(4, "instar", 4)
-    assert calls == [4, 4] and plans.cache_info().currsize == 2
-
-
-def test_plan_degree_is_normalized(plans):
-    assert _lebesgue_plan("instar", np.int64(8)) is _lebesgue_plan("instar", 8)
-    assert plans.cache_info().currsize == 1
-    # 8.0 == 8 and hashes alike, so only the check before the memo rejects it
-    with pytest.raises(TypeError):
-        _lebesgue_plan("instar", 8.0)
-
-
-@pytest.mark.parametrize(
-    "kind, n, error",
-    [("instar", 0, ValueError), ("lnstar", 2.5, TypeError), ("ln", 1, ValueError),
-     ("nope", 2, ValueError)],
-)
-def test_bad_plan_raises_and_is_not_cached(plans, kind, n, error):
-    for _ in range(2):
-        with pytest.raises(error):
-            _lebesgue_plan(kind, n)
-    assert plans.cache_info().currsize == 0
-
-
-@pytest.mark.parametrize("kind", ["in", "instar", "ln", "lnstar"])
-def test_plan_arrays_are_read_only(plans, kind):
-    plan = _lebesgue_plan(kind, 5)
-    arrays = [v for v in plan if isinstance(v, np.ndarray)] + [c for _, c in plan.adds]
-    assert len(arrays) >= 5
-    for a in arrays:
-        assert not a.flags.writeable
-    # H_n* at odd degree has boundary frequencies that share a cell
-    assert bool(plan.adds) == (kind in ("instar", "lnstar"))
-
-
-def test_plan_memo_keeps_the_last_eight(plans):
-    assert _CACHED_DEGREES == 8 and "8 plans" in interpolation.__doc__
-    for n in range(1, 11):
-        _lebesgue_plan("instar", n)
-    assert plans.cache_info().currsize == 8
-    hits = plans.cache_info().hits
-    _lebesgue_plan("instar", 10)
-    assert plans.cache_info().hits == hits + 1
 
 
 def test_real_kernels_take_the_half_group():
