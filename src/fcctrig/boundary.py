@@ -2,9 +2,11 @@
 
 A boundary point of the rhombic dodecahedron has t_i - t_j = 1 for at
 least one pair; collecting the left slots into I and the right slots into
-J labels the face/edge/vertex stratum.  Points whose (I, J) labels are
-nonempty are identified with binom(|I|+|J|, |I|) lattice-congruent partners
-on the boundary, obtained by permuting the slots in I and J.
+J labels the face/edge/vertex stratum.  In the closed domain such a pair
+is a slot at the max against a slot at the min, with max t - min t = 1.
+Points whose (I, J) labels are nonempty are identified with
+binom(|I|+|J|, |I|) lattice-congruent partners on the boundary, obtained
+by permuting the slots in I and J.
 
 Coordinate labels in I and J are 1-based.  Classification of node points
 must go through the integer index routines; the float routines exist for
@@ -13,11 +15,9 @@ user-supplied evaluation points and use tolerances.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .lattice import _one, _rows, homo_point, in_closed_omega_H
+from .lattice import _degree, _one, _rows, homo_point, in_closed_omega_H
 from .symmetry import PERM_TABLE
 
 # absolute tolerance of the float routines' equality tests t_i - t_j = 1
@@ -43,18 +43,23 @@ def classify(t):
 def boundary_slots(kk, n: int):
     """Boundary labels of node indices: boolean masks (N, 4) of I and J.
 
-    Row r has slot i in I and slot j in J when kk[r, i] - kk[r, j] = 4n;
-    both rows are all False for an interior node.  This is the one place
-    the boundary condition is written down; strata, weights and
-    classify_index are read off these masks.  Rows go through
-    ``lattice._rows``, and rows outside H_n* raise ValueError too.
+    Row r has slot i in I and slot j in J when kk[r, i] - kk[r, j] = 4n.
+    In H_n* no difference exceeds max - min <= 4n, so that happens on the
+    rows with max - min = 4n, for the slots at the row's max (I) and at
+    its min (J); both rows are all False for an interior node.  This is
+    the one place the boundary condition is written down; strata, weights
+    and classify_index are read off these masks.  Rows go through
+    ``lattice._rows`` and n through ``lattice._degree``; rows outside H_n*
+    raise ValueError too.
     """
     kk = _rows(kk)
-    d = kk[:, :, None] - kk[:, None, :]
-    if np.any(np.abs(d) > 4 * operator.index(n)):
+    n = _degree(n)
+    hi = kk.max(axis=1, keepdims=True)
+    lo = kk.min(axis=1, keepdims=True)
+    if np.any(hi - lo > 4 * n):
         raise ValueError("index outside the closed node set for this degree")
-    hit = d == 4 * n
-    return hit.any(axis=2), hit.any(axis=1)
+    edge = hi - lo == 4 * n
+    return (kk == hi) & edge, (kk == lo) & edge
 
 
 def _labels(I, J):

@@ -1,8 +1,10 @@
 """Frequency and node index sets with their strata and weights.
 
 Every set is the rows of one box of reduced coordinates k'_i = (k_i - k_4)/4
-(``lattice._box``) that pass the paper's inequalities on the differences
-k_i - k_j (``lattice._diffs``), or monotonicity for the tetrahedral sets.
+(``lattice._box``) that lie in Omega_H scaled by 4n, or are monotone for the
+tetrahedral sets: H_n is the half-open tile, -4n < k_i - k_j <= 4n
+(``lattice._half_open``), H_n* its closure, max k - min k <= 4n
+(``lattice._spread``), and H_n circ its interior, max k - min k < 4n.
 
 Strata and weights of whole node arrays are read off one routine,
 boundary.boundary_slots, and a class size off a stratum key by ``_unkey``.
@@ -21,14 +23,13 @@ a ``.copy()``.
 from __future__ import annotations
 
 import functools
-import operator
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
 from .boundary import boundary_slots
-from .lattice import _box, _diffs, _one, _rows
+from .lattice import _box, _degree, _half_open, _one, _rows, _spread
 from .symmetry import PERM_TABLE
 
 TETRA_WEIGHTS = {"interior": 24, "face": 12, "edge1": 6, "edge2": 4, "vertex": 1}
@@ -36,14 +37,6 @@ TETRA_STRATA = {w: name for name, w in TETRA_WEIGHTS.items()}
 
 # _BINOM[a + b, a] = binom(a + b, a) for the stratum sizes |I|, |J| <= 3
 _BINOM = np.array([[comb(m, i) for i in range(5)] for m in range(5)], dtype=np.int64)
-
-
-def _degree(n) -> int:
-    """n as an int (NumPy integers too); TypeError for a non-integer."""
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    return n
 
 
 # degrees each per-degree set or weight array keeps, least recently used out
@@ -100,22 +93,21 @@ def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
     kk = _from_reduced(_box(-n + 1, n))
-    d = _diffs(kk)
-    return _lexsort_rows(kk[((d > -4 * n) & (d <= 4 * n)).all(axis=1)])
+    return _lexsort_rows(kk[_half_open(kk, 4 * n)])
 
 
 @_per_degree
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
     kk = _from_reduced(_box(-n, n))
-    return _lexsort_rows(kk[(np.abs(_diffs(kk)) <= 4 * n).all(axis=1)])
+    return _lexsort_rows(kk[_spread(kk) <= 4 * n])
 
 
 @_per_degree
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
     kk = _from_reduced(_box(1 - n, n - 1))
-    return _lexsort_rows(kk[(np.abs(_diffs(kk)) < 4 * n).all(axis=1)])
+    return _lexsort_rows(kk[_spread(kk) < 4 * n])
 
 
 def strata(kk, n: int) -> np.ndarray:

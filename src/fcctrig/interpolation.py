@@ -82,7 +82,7 @@ from .indexsets import (
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
-from .lattice import _box, _points, fold_to_omega_H, hindex
+from .lattice import _box, _degree, _points, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .tetra import point_h_to_regular, point_regular_to_h
 from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, _star_weights, unit_cell_points
@@ -107,7 +107,7 @@ def ell_circ(j, n: int, t) -> np.ndarray:
     (6/n^3) times the antisymmetrization in t of the theta difference
     shifted to the node j/(4n).
     """
-    j = hindex(j)
+    j, n = hindex(j), _degree(n)
     t = _points(t)
     imgs = t[..., PERM_TABLE] - j.astype(float) / (4.0 * n)
     vals = theta_n(n, imgs) - theta_n(n - 1, imgs)
@@ -116,7 +116,7 @@ def ell_circ(j, n: int, t) -> np.ndarray:
 
 def ell_circ_ts_sum(j, n: int, t) -> np.ndarray:
     """Oracle: (144/n^3) sum over interior indices of TS_k(t) conj(TS_k(node))."""
-    j = hindex(j)
+    j, n = hindex(j), _degree(n)
     t = _points(t)
     pt = j.astype(float) / (4.0 * n)
     total = 0.0
@@ -386,10 +386,7 @@ def lebesgue_interp(n: int, kind: str, grid_per_axis: int = 25) -> float:
     ``fcc-trig lebesgue --n 16`` (grid 25, wall time with interpreter
     start, median of 6) takes 0.7 s for ``instar`` (455 classes of
     15,625 points), 8.7 s for ``in`` (8,215 classes), 1.4 s for
-    ``lnstar`` (1,729 classes of 3,276 points) and 1.3 s for ``ln``
-    (0.9, 9.2, 1.5 and 1.8 s in interleaved runs with the complex FFT
-    on the whole group for every kind; point by point, ``instar`` took
-    11.1 s).
+    ``lnstar`` (1,729 classes of 3,276 points) and 1.3 s for ``ln``.
     """
     node_set(kind, n)  # an unknown kind or a degree it lacks, before the grid
     spec = _KINDS[kind]

@@ -23,7 +23,7 @@ import operator
 
 import numpy as np
 
-from .indexsets import _degree, class_sizes, generate_Hn, generate_Hn_star, strata
+from .indexsets import _degree, _star_sizes, generate_Hn, generate_Hn_star, strata
 from .lattice import _PAIRS, _expsum, _points
 
 SING_TOL = 1e-8
@@ -123,6 +123,5 @@ def phi_n_star(n: int, t) -> np.ndarray:
 
 def phi_n_star_direct(n: int, t) -> np.ndarray:
     """Oracle: weighted exponential sum over the star set."""
-    kk = generate_Hn_star(n)
-    return (_expsum(kk, t) * (1.0 / class_sizes(kk, n))).sum(axis=-1) / (4 * n**3)
+    return (_expsum(generate_Hn_star(n), t) * (1.0 / _star_sizes(n))).sum(axis=-1) / (4 * n**3)
 

@@ -20,12 +20,18 @@ chart's d coordinates (4 homogeneous, 3 Cartesian or regular), and any
 other last axis is a ValueError that names the chart.
 
 Every node and frequency set, evaluation grid and fold shift list is read
-off ``_box(lo, hi)``, the one enumeration of integer triples, and every such
-difference test runs over ``_PAIRS``, the one list of pairs i < j: the node
-sets' through ``_diffs(x)``, Omega_H's one pair at a time, in place.
+off ``_box(lo, hi)``, the one enumeration of integer triples.  Membership
+in Omega_H scaled by s is one rule with two forms: the half-open tile
+-s < x_i - x_j <= s is ``_half_open(x, s)``, run over ``_PAIRS`` one pair
+at a time, and the closure |x_i - x_j| <= s is ``_spread(x) <= s``, since
+the largest difference is max x - min x.  The domain tests, the node and
+frequency sets (s = 4n) and ``transforms._rho`` go through them, and
+``boundary.boundary_slots`` reads the boundary off the same row extremes.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -108,6 +114,14 @@ def from_homogeneous(t) -> np.ndarray:
     return t @ U_MATRIX
 
 
+def _degree(n) -> int:
+    """n as an int (NumPy integers too); TypeError for a non-integer, ValueError below 1."""
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    return n
+
+
 def _box(lo: int, hi: int) -> np.ndarray:
     """The int64 rows of [lo, hi]^3 in lexicographic order, (hi - lo + 1)^3 of them."""
     return np.indices((hi - lo + 1,) * 3, dtype=np.int64).reshape(3, -1).T + lo
@@ -117,17 +131,18 @@ def _box(lo: int, hi: int) -> np.ndarray:
 _PAIRS = np.triu_indices(4, 1)
 
 
-def _diffs(x: np.ndarray) -> np.ndarray:
-    """x_i - x_j over the six pairs i < j of the last axis, shape (..., 6)."""
-    return x[..., _PAIRS[0]] - x[..., _PAIRS[1]]
+def _spread(x: np.ndarray, initial=None) -> np.ndarray:
+    """max - min over the last axis: the largest difference x_i - x_j; with
+    initial, that of each row with one more slot holding initial."""
+    return x.max(axis=-1, initial=initial) - x.min(axis=-1, initial=initial)
 
 
-def _all_pairs(t, test) -> np.ndarray:
-    """test(t_i - t_j) and-ed over the six pairs i < j, one (...,) view at a time."""
-    t = _points(t)
-    out = np.ones(t.shape[:-1], dtype=bool)
+def _half_open(x: np.ndarray, s) -> np.ndarray:
+    """-s < x_i - x_j <= s for every pair i < j of the last axis, one (...,) view at a time."""
+    out = np.ones(x.shape[:-1], dtype=bool)
     for i, j in zip(*_PAIRS):
-        out &= test(t[..., i] - t[..., j])
+        d = x[..., i] - x[..., j]
+        out &= (d > -s) & (d <= s)
     return out[()]  # a scalar for one point
 
 
@@ -139,12 +154,12 @@ def in_omega_H(t) -> np.ndarray:
     tolerance should use in_closed_omega_H.  Node membership decisions must
     be made on integer indices, never on the floats produced here.
     """
-    return _all_pairs(t, lambda d: (d > -1.0) & (d <= 1.0))
+    return _half_open(_points(t), 1.0)
 
 
 def in_closed_omega_H(t, tol: float = 1e-12) -> np.ndarray:
-    """Membership in the closure, |t_i - t_j| <= 1 within tol."""
-    return _all_pairs(t, lambda d: np.abs(d) <= 1.0 + tol)
+    """Membership in the closure, |t_i - t_j| <= 1 within tol: max t - min t <= 1 + tol."""
+    return _spread(_points(t)) <= 1.0 + tol
 
 
 # Offsets v in {-1,0}^3: the reduction below first lands in A[0,1)^3, and

@@ -32,7 +32,7 @@ from .indexsets import (
     lambda_weights,
     to_reduced,
 )
-from .lattice import A_MATRIX, _box, _points, to_homogeneous
+from .lattice import A_MATRIX, _box, _points, _spread, to_homogeneous
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -232,11 +232,11 @@ def _star_weights(n: int) -> np.ndarray:
 
 
 def _rho(n: int) -> np.ndarray:
-    """rho(k') = max(0, k') - min(0, k') on the (2n+1)^3 box of k' in [-n, n]^3.
+    """rho(k') = (max k - min k) / 4 on the (2n+1)^3 box of k' in [-n, n]^3:
+    the spread of (k'_1, k'_2, k'_3, 0), whose slots are (k_i - k_4) / 4.
     k is in H_m* iff rho(k') <= m, so D_m is 1 where rho <= m, and theta_n =
     sum_{m < n} D_m, D_0 = 1, is max(0, n - rho) on [1 - n, n - 1]^3."""
-    k = _box(-n, n)
-    return (k.max(axis=1, initial=0) - k.min(axis=1, initial=0)).reshape((2 * n + 1,) * 3)
+    return _spread(_box(-n, n), initial=0).reshape((2 * n + 1,) * 3)
 
 
 # the coefficient box of every compact kernel, by its ``fcc-trig kernel --f`` name

@@ -2,13 +2,26 @@ import numpy as np
 import pytest
 
 from fcctrig.boundary import (
+    boundary_slots,
     classify,
     classify_index,
     congruent_orbit,
     congruent_orbit_index,
 )
-from fcctrig.indexsets import class_sizes, generate_Hn_star
-from fcctrig.lattice import fold_to_omega_H, phi
+from fcctrig.indexsets import _from_reduced, class_sizes, generate_Hn_star
+from fcctrig.lattice import _box, _rows, fold_to_omega_H, phi
+
+OUTSIDE = "index outside the closed node set for this degree"
+
+
+def slots_by_pairs(kk, n):
+    # the N x 4 x 4 difference form the row extremes replaced, kept as their oracle
+    kk = _rows(kk)
+    d = kk[:, :, None] - kk[:, None, :]
+    if np.any(np.abs(d) > 4 * n):
+        raise ValueError(OUTSIDE)
+    hit = d == 4 * n
+    return hit.any(axis=2), hit.any(axis=1)
 
 
 def test_classify_interior():
@@ -48,6 +61,25 @@ def test_classify_index_matches_float():
 def test_classify_index_rejects_outside():
     with pytest.raises(ValueError):
         classify_index([8, 0, 0, -8], 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boundary_slots_equal_the_pair_form(n):
+    # every row of the reduced (2n+3)^3 box within H_n*, then each row of
+    # spread 4n + 4, which both forms reject with the same message
+    kk = _from_reduced(_box(-n - 1, n + 1))
+    spread = kk.max(axis=1) - kk.min(axis=1)
+    inside = kk[spread <= 4 * n]
+    assert len(inside) == (n + 1) ** 4 - n**4
+    got, want = boundary_slots(inside, n), slots_by_pairs(inside, n)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert got[0].any() and not got[0].all()
+    beyond = kk[spread == 4 * n + 4]
+    assert len(beyond)
+    for row in beyond:
+        for form in (boundary_slots, slots_by_pairs):
+            with pytest.raises(ValueError, match=f"^{OUTSIDE}$"):
+                form(row, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

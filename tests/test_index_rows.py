@@ -55,6 +55,27 @@ ROW_TAKERS = {
         lambda kk: interpolation.ell_tri_tc_sum(kk[0], 4, T), BAD_ROWS),
 }
 
+# "module.name" -> call at degree n on the valid row (0, 0, 0, 0), for every
+# ROW_TAKERS entry with a degree parameter n
+ZERO = np.zeros((1, 4), dtype=np.int64)
+DEGREE_TAKERS = {
+    "boundary.boundary_slots": lambda n: boundary.boundary_slots(ZERO, n),
+    "indexsets.strata": lambda n: indexsets.strata(ZERO, n),
+    "indexsets.stratum_keys": lambda n: indexsets.stratum_keys(ZERO, n),
+    "indexsets.class_sizes": lambda n: indexsets.class_sizes(ZERO, n),
+    "indexsets.lambdas": lambda n: indexsets.lambdas(ZERO, n),
+    "boundary.classify_index": lambda n: boundary.classify_index(ZERO[0], n),
+    "boundary.congruent_orbit_index": lambda n: boundary.congruent_orbit_index(ZERO[0], n),
+    "indexsets.stratum_of_index": lambda n: indexsets.stratum_of_index(ZERO[0], n),
+    "indexsets.weight_c": lambda n: indexsets.weight_c(ZERO[0], n),
+    "indexsets.weight_lambda": lambda n: indexsets.weight_lambda(ZERO[0], n),
+    "indexsets.tetra_stratum": lambda n: indexsets.tetra_stratum(ZERO[0], n),
+    "interpolation.ell_circ": lambda n: interpolation.ell_circ(ZERO[0], n, T),
+    "interpolation.ell_circ_ts_sum": lambda n: interpolation.ell_circ_ts_sum(ZERO[0], n, T),
+    "interpolation.ell_tri": lambda n: interpolation.ell_tri(ZERO[0], n, T),
+    "interpolation.ell_tri_tc_sum": lambda n: interpolation.ell_tri_tc_sum(ZERO[0], n, T),
+}
+
 # public functions with a parameter k, kk or j that do not check membership in H
 NOT_ROW_TAKERS = {
     "symmetry.orbit": "S4 acts on any integer quadruple; test_symmetry covers its check",
@@ -105,3 +126,25 @@ def test_every_index_taker_is_in_the_table():
     found = _functions_taking_indices()
     assert {"indexsets.lambdas", "boundary.classify_index", "symmetry.orbit"} <= found
     assert found - set(ROW_TAKERS) - set(NOT_ROW_TAKERS) == set()
+
+
+def _takes_a_degree(name):
+    module, func = name.split(".")
+    return "n" in inspect.signature(getattr(fcctrig, module).__dict__[func]).parameters
+
+
+def test_every_row_taker_with_a_degree_is_in_the_degree_table():
+    assert {name for name in ROW_TAKERS if _takes_a_degree(name)} == set(DEGREE_TAKERS)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_TAKERS))
+def test_row_takers_check_the_degree(name):
+    # n = 0 used to give labels, strata or a raw IndexError, n = -1 a
+    # message about the row, and ell_circ a ZeroDivisionError or -0.0
+    call = DEGREE_TAKERS[name]
+    call(4)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
+            call(n)
+    with pytest.raises(TypeError):
+        call(2.0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -326,3 +327,31 @@ def test_class_sizes_are_residue_multiplicities(n):
     )
     assert len(res) == 4 * n**3
     assert np.array_equal(class_sizes(kk, n), counts[inverse.reshape(-1)])
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fn", [generate_Hn, generate_Hn_star, generate_Hn_circ],
+                         ids=lambda fn: fn.__name__)
+def test_set_build_memory_is_bounded(fn, monkeypatch):
+    # the membership tests read the row extremes or one pair at a time: the
+    # six-wide difference arrays they replaced peaked at 42-46 MiB at n = 32;
+    # __wrapped__ builds afresh, past the per-degree memo
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    peak = _traced_peak(lambda: fn.__wrapped__(32))
+    assert peak < 32 * 2**20, peak
+
+
+def test_class_sizes_memory_is_bounded(monkeypatch):
+    # the N x 4 x 4 difference tensor of the boundary slots peaked at 35.6 MiB
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    kk = generate_Hn_star(32)
+    peak = _traced_peak(lambda: class_sizes(kk, 32))
+    assert peak < 12 * 2**20, peak

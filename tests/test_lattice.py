@@ -100,6 +100,36 @@ def test_domain_tests_on_differences_of_exactly_one():
     assert np.shape(in_omega_H(pts[0])) == np.shape(in_closed_omega_H(pts[0])) == ()
 
 
+def _straddling(s, rng):
+    # rows whose max - min is exactly s, slots shuffled: -0.5 and s - 0.5
+    # take the extremes, both exact for s near 1, so fl(max - min) = s
+    rows = np.empty((8, 4))
+    rows[:, :2] = (s - 0.5, -0.5)
+    rows[:, 2:] = rng.uniform(-0.5, s - 0.5, (8, 2))
+    return rng.permuted(rows, axis=1)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+def test_closed_domain_is_the_pairwise_test(tol):
+    # |t_i - t_j| <= 1 + tol for every pair is max t - min t <= 1 + tol;
+    # spreads of exactly 1 and 1 + 1e-12, and one ulp to either side
+    rng = np.random.default_rng(11)
+    spreads = [np.nextafter(s, s + side) for s in (1.0, 1.0 + 1e-12) for side in (-1, 0, 1)]
+    special = [[np.nan, 0, 0, 0], [0.5, np.nan, -0.5, 0], [np.inf, 0, 0, -np.inf],
+               [np.inf, 0, 0, 0], [0, -np.inf, 0, 0], [np.inf] * 4, [-np.inf] * 4, [np.nan] * 4]
+    t = np.concatenate([rand_t(rng, 20000), *(_straddling(s, rng) for s in spreads), special])
+    with np.errstate(invalid="ignore"):
+        d = [t[:, i] - t[:, j] for i, j in itertools.combinations(range(4), 2)]
+        want = (np.abs(d) <= 1.0 + tol).all(axis=0)
+        got = in_closed_omega_H(t, tol)
+    assert np.array_equal(got, want)
+    assert not got[-len(special):].any()
+    # below, at and above 1, then 1 + 1e-12: each group all in or all out
+    edges = want[20000:20048].reshape(6, 8)
+    assert (edges == edges[:, :1]).all()
+    assert edges[:, 0].tolist() == [True, True, tol > 0, tol > 0, tol >= 1e-12, tol > 1e-12]
+
+
 def test_fold_lands_in_domain_and_is_idempotent():
     rng = np.random.default_rng(1)
     t = 5.0 * rand_t(rng, 500)
