@@ -27,8 +27,10 @@ from .indexsets import (
 )
 from . import kernels
 from .interpolation import BUILDERS, _freq_cells, _node_cells
-from .symmetry import PERM_TABLE
-from .trigbasis import tc, tc_direct, ts, ts_direct
+from .lattice import _expsum, _points
+from .symmetry import PERM_SIGNS, PERM_TABLE
+from .transforms import _CHUNK_ELEMENTS
+from .trigbasis import _compact_rows
 
 
 def _err(got, want) -> float:
@@ -98,15 +100,32 @@ def compact_kernels(n: int, t) -> dict:
     return {name: _err(fast(n, t), ref(n, t)) for name, (fast, ref) in pairs.items()}
 
 
+# the weights of the orbit sums on the 24 images phi_{k sigma}, sigma a row of
+# PERM_TABLE: TC_k is their mean, TS_k minus their signed mean (as sigma and
+# its inverse have one sign)
+_ORBIT_WEIGHTS = np.stack([np.ones(24), -PERM_SIGNS], axis=1) / 24.0
+
+
 def tetra_basis(n: int, t) -> dict:
     """Max |compact form - orbit sum| at the points t: "cosine" over TC_k for
     every tetrahedral index k of degree n, "sine" over TS_k for those with
-    four distinct entries (present from degree 3 on)."""
+    four distinct entries (present from degree 3 on).  Per chunk of index
+    rows, one ``_compact_rows`` call per form and one block of the images
+    phi_{k sigma}(t) against ``_ORBIT_WEIGHTS``; a block holds at most 2^20
+    numbers."""
+    t = _points(t).reshape(-1, 4)
     ks = lambda_nodes(n)
-    out = {"cosine": max(_err(tc(k, t), tc_direct(k, t)) for k in ks)}
-    distinct = [k for k in ks if len(set(k.tolist())) == 4]
-    if distinct:
-        out["sine"] = max(_err(ts(k, t), ts_direct(k, t)) for k in distinct)
+    rows = max(1, _CHUNK_ELEMENTS // (24 * max(1, len(t))))
+    out = {"cosine": 0.0}
+    for i in range(0, len(ks), rows):
+        k = ks[i : i + rows]
+        want = (_expsum(k[:, PERM_TABLE].reshape(-1, 4), t).reshape(-1, 24)
+                @ _ORBIT_WEIGHTS).reshape(len(t), len(k), 2)
+        out["cosine"] = max(out["cosine"], _err(_compact_rows(k, t, np.cos), want[..., 0]))
+        distinct = np.all(k[:, 1:] < k[:, :-1], axis=1)
+        if distinct.any():
+            got = _compact_rows(k[distinct], t, np.sin)
+            out["sine"] = max(out.get("sine", 0.0), _err(got, want[:, distinct, 1]))
     return out
 
 

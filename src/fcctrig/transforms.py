@@ -66,13 +66,32 @@ def one(t) -> np.ndarray:
 
 
 def _pair(f, g, pts: np.ndarray, where: str, at: np.ndarray):
-    """f conj(g) at the points pts, both sampled with ``_sample``."""
+    """f conj(g) at the points pts, both sampled with ``_sample``; f alone when
+    g is None, as a cubature rule takes it."""
     fv = _sample(f, pts, where, at, "value of f")
+    if g is None:
+        return fv
     return fv * np.conj(_sample(g, pts, where, at, "value of g", name="g returned"))
 
 
+def _rule(f, g, w, pts: np.ndarray, where: str, at: np.ndarray):
+    """sum_j w_j f conj(g), or sum_j w_j f for g None, at the points pts, in
+    the samples' dtype: the one weighted node sum of the inner products and
+    the cubature rules."""
+    return (_pair(f, g, pts, where, at) * w).sum()
+
+
 def _node_sum(f, g, idx: np.ndarray, n: int, w=1.0):
-    return (_pair(f, g, idx / (4.0 * n), f"the degree-{n} nodes", idx) * w).sum()
+    return _rule(f, g, w, idx / (4.0 * n), f"the degree-{n} nodes", idx)
+
+
+def _star_sum(f, g, n: int) -> complex:
+    return complex(_node_sum(f, g, generate_Hn_star(n), n, 1.0 / _star_sizes(n)) / (4 * n**3))
+
+
+def _tetra_sum(f, g, n: int) -> complex:
+    w = lambda_weights(n).astype(float)
+    return complex(_node_sum(f, g, lambda_nodes(n), n, w) / (4 * n**3))
 
 
 def inner_n(f, g, n: int) -> complex:
@@ -82,14 +101,12 @@ def inner_n(f, g, n: int) -> complex:
 
 def inner_n_star(f, g, n: int) -> complex:
     """Weighted node sum over the symmetric set with the boundary weights c."""
-    w = 1.0 / _star_sizes(n)
-    return complex(_node_sum(f, g, generate_Hn_star(n), n, w) / (4 * n**3))
+    return _star_sum(f, g, n)
 
 
 def inner_tetra(f, g, n: int) -> complex:
     """Tetrahedral inner product: (1/4n^3) sum lambda_j f conj(g)."""
-    w = lambda_weights(n).astype(float)
-    return complex(_node_sum(f, g, lambda_nodes(n), n, w) / (4 * n**3))
+    return _tetra_sum(f, g, n)
 
 
 def inner_tetra_interior(f, g, n: int) -> complex:
@@ -99,21 +116,22 @@ def inner_tetra_interior(f, g, n: int) -> complex:
 
 def cubature_dodeca(f, n: int) -> complex:
     """Symmetric-node rule for the normalized dodecahedron integral; exact
-    for trigonometric polynomials of degree up to 2n - 1."""
-    return inner_n_star(f, one, n)
+    for trigonometric polynomials of degree up to 2n - 1.  Equal (==) to
+    ``inner_n_star(f, one, n)``, without sampling ``one``."""
+    return _star_sum(f, None, n)
 
 
 def cubature_tetra(f, n: int) -> complex:
-    """Tetrahedral-node rule; exact on the symmetrized space of degree 2n - 1."""
-    return inner_tetra(f, one, n)
+    """Tetrahedral-node rule; exact on the symmetrized space of degree 2n - 1.
+    Equal (==) to ``inner_tetra(f, one, n)``, without sampling ``one``."""
+    return _tetra_sum(f, None, n)
 
 
 def cubature_tetra_regular(f3, n: int) -> complex:
     """Same rule in regular-tetrahedron coordinates: nodes (k1, k2, k3)/n,
     0 <= k3 <= k2 <= k1 <= n, with the weights of the homogeneous rule."""
-    kp = to_reduced(lambda_nodes(n))
-    vals = _sample(f3, kp / n, f"the degree-{n} regular nodes", kp, "value of f")
-    return complex((vals * lambda_weights(n).astype(float)).sum() / (4 * n**3))
+    kp, w = to_reduced(lambda_nodes(n)), lambda_weights(n).astype(float)
+    return complex(_rule(f3, None, w, kp / n, f"the degree-{n} regular nodes", kp) / (4 * n**3))
 
 
 def unit_cell_points(q: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """The node-group route of the node-sum claims against the dense sums it
-replaced, and checks that a broken rule or frequency set fails it."""
+replaced, the batched TC/TS claim against the per-index loop it replaced,
+and checks that a broken rule, frequency set or compact form fails them."""
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
-from fcctrig import claims, indexsets
+from fcctrig import claims, indexsets, trigbasis
 from fcctrig.indexsets import (
     _star_sizes,
     generate_Hn,
@@ -15,6 +17,9 @@ from fcctrig.indexsets import (
     lambda_weights,
 )
 from fcctrig.interpolation import _freq_cells, _node_cells
+from fcctrig.lattice import _expsum
+from fcctrig.symmetry import PERM_TABLE
+from fcctrig.trigbasis import tc, tc_direct, ts, ts_direct
 
 
 def dense_rule(nodes, w, n, freqs):
@@ -93,3 +98,89 @@ def test_claim_memory_is_bounded(claim, monkeypatch):
         tracemalloc.stop()
     assert err < 1e-10
     assert peak <= 64 * 2**20, peak
+
+
+def probe_points(m=50):
+    """The seeded zero-sum points of ``fcc-trig verify``."""
+    t = np.random.default_rng(20240901).uniform(-1.0, 1.0, size=(m, 4))
+    return t - t.mean(axis=1, keepdims=True)
+
+
+def loop_tetra_basis(n, t):
+    """The per-index loop over tc/tc_direct and ts/ts_direct that the batched
+    claim replaced."""
+    ks = lambda_nodes(n)
+    out = {"cosine": max(claims._err(tc(k, t), tc_direct(k, t)) for k in ks)}
+    distinct = [k for k in ks if len(set(k.tolist())) == 4]
+    if distinct:
+        out["sine"] = max(claims._err(ts(k, t), ts_direct(k, t)) for k in distinct)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_tetra_basis_matches_the_per_index_loop(n):
+    t = probe_points()
+    got, want = claims.tetra_basis(n, t), loop_tetra_basis(n, t)
+    assert got.keys() == want.keys() == ({"cosine", "sine"} if n >= 3 else {"cosine"})
+    for key in got:
+        assert abs(got[key] - want[key]) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_orbit_weights_give_the_orbit_sums(n):
+    # the mean of the 24 images phi_{k sigma} is tc_direct's mean over the
+    # distinct orbit; minus their signed mean is ts_direct's -P- phi_k
+    t = probe_points(20)
+    for k in lambda_nodes(n):
+        want = _expsum(k[PERM_TABLE], t) @ claims._ORBIT_WEIGHTS
+        assert np.abs(want[:, 0] - tc_direct(k, t)).max() < 1e-13
+        if len(set(k.tolist())) == 4:
+            assert np.abs(want[:, 1] - ts_direct(k, t)).max() < 1e-13
+
+
+def test_tetra_basis_fails_when_a_pairing_turns(monkeypatch):
+    # v of the pairing (1, 3 | 4, 2) as t2 - t4, not t4 - t2: sin is odd, so
+    # TS moves and the sine claim fails
+    t = probe_points()
+    assert max(claims.tetra_basis(4, t).values()) < 1e-9
+    turned = trigbasis._PAIRINGS.copy()
+    turned[:, 7] *= -1
+    monkeypatch.setattr(trigbasis, "_PAIRINGS", turned)
+    assert claims.tetra_basis(4, t)["sine"] > 1e-9
+
+
+def test_tetra_basis_takes_chunks_of_at_most_2_20_images(monkeypatch):
+    calls, rows = [], claims._compact_rows
+    monkeypatch.setattr(claims, "_compact_rows",
+                        lambda k, t, g: calls.append((len(k), g)) or rows(k, t, g))
+    claims.tetra_basis(16, probe_points())
+    chunks = [m for m, g in calls if g is np.cos]
+    assert len(chunks) >= 2
+    assert sum(chunks) == comb(16 + 3, 3)
+    assert max(chunks) * 24 * 50 <= 2**20
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 4)])
+def test_tetra_basis_takes_any_batch_of_points(shape):
+    t = np.random.default_rng(29).uniform(-1, 1, size=shape)
+    t -= t.mean(axis=-1, keepdims=True)
+    got = claims.tetra_basis(3, t)
+    assert got.keys() == {"cosine", "sine"}
+    assert max(got.values()) < 1e-13
+    if not t.size:
+        assert got == {"cosine": 0.0, "sine": 0.0}
+
+
+def test_tetra_basis_memory_is_bounded(monkeypatch):
+    # the phase block of one chunk holds at most 2^20 complex numbers (16 MiB);
+    # one unchunked block of the 6,545 x 24 x 50 images would be 120 MiB
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    t = probe_points()
+    tracemalloc.start()
+    try:
+        errs = claims.tetra_basis(32, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(errs.values()) < 1e-9
+    assert peak < 48 * 2**20, peak

@@ -256,6 +256,25 @@ def test_sums_keep_the_dtype_of_f():
     assert cubature_tetra(f, 11) == want
 
 
+# a real, a complex, an object (Fraction) and a scalar integrand
+RULE_INTEGRANDS = {
+    "real": lambda t: np.cos(np.pi * t[..., 0]) + t[..., 1] ** 2,
+    "complex": lambda t: np.exp(1j * np.pi * (t[..., 0] - 3 * t[..., 2])) - 0.5j * t[..., 3],
+    "fraction": lambda t: [Fraction(1, 3)] * len(t),
+    "scalar": lambda t: -2.5,
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("name", RULE_INTEGRANDS)
+def test_cubature_is_the_inner_product_with_one(name, n):
+    # the rules sum f's samples against the weights without sampling one: the
+    # same weighted node sum, so the values are equal under ==
+    f = RULE_INTEGRANDS[name]
+    assert cubature_dodeca(f, n) == inner_n_star(f, one, n)
+    assert cubature_tetra(f, n) == inner_tetra(f, one, n)
+
+
 def test_sums_and_boxes_take_object_values():
     # Fractions or ints beyond int64 come back as an object array, which
     # the finiteness check cannot read until it is cast
