@@ -6,7 +6,8 @@ how far its counts or rational sums are off (0 when it holds), the others
 their largest absolute error.  Tolerances stay with the callers,
 ``fcc-trig verify`` and ``tests/test_acceptance.py``, so no change here can
 loosen a check.  Node-sum claims take one inverse FFT of a rule's weights
-binned on the node group (``interpolation._node_cells``); dense sums are the test oracle.
+(``indexsets._RULES``) binned on the node group (``interpolation._node_cells``);
+dense sums are the test oracle.
 """
 
 from __future__ import annotations
@@ -17,19 +18,17 @@ from math import comb
 import numpy as np
 
 from .indexsets import (
-    _star_sizes,
+    _RULES,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
     lambda_nodes,
-    lambda_weights,
     stratum_counts,
 )
 from . import kernels
 from .interpolation import BUILDERS, _freq_cells, _node_cells
-from .lattice import _expsum, _points
+from .lattice import _CHUNK_ELEMENTS, _expsum, _points
 from .symmetry import PERM_SIGNS, PERM_TABLE
-from .transforms import _CHUNK_ELEMENTS
 from .trigbasis import _compact_rows
 
 
@@ -37,9 +36,11 @@ def _err(got, want) -> float:
     return float(np.abs(np.asarray(got) - want).max(initial=0.0))
 
 
-def _rule(nodes: np.ndarray, w, n: int) -> np.ndarray:
-    """(1/4n^3) sum_j w_j phi_k(j / 4n) on every cell of k: a bincount, an inverse FFT."""
-    cells = np.bincount(_node_cells(nodes, n), np.broadcast_to(w, len(nodes)), 4 * n**3)
+def _rule(rule: str, n: int) -> np.ndarray:
+    """(1/4n^3) sum_j (a_j/q) phi_k(j / 4n) of ``indexsets._RULES[rule]`` on
+    every cell of k: a bincount, an inverse FFT."""
+    nodes, a, q = _RULES[rule](n)
+    cells = np.bincount(_node_cells(nodes, n), np.broadcast_to(a / q, len(nodes)), 4 * n**3)
     return np.fft.ifftn(cells.reshape(4 * n, n, n)).ravel()
 
 
@@ -57,27 +58,28 @@ def cardinalities(n: int) -> int:
 
 
 def weight_sums(n: int) -> Fraction:
-    """|sum c - 4n^3| + |sum lambda - 4n^3| in rational arithmetic, over the
-    weights c of H_n* and lambda of the tetrahedral nodes."""
-    sizes, counts = np.unique(_star_sizes(n), return_counts=True)
-    csum = sum(Fraction(c, s) for s, c in zip(sizes.tolist(), counts.tolist()))
-    return abs(csum - 4 * n**3) + abs(int(lambda_weights(n).sum()) - 4 * n**3)
+    """The sum of |sum_j a_j / q - 4n^3| in rational arithmetic over the rules
+    ``hn``, ``hstar`` and ``lambda``: the weights 1 of H_n, c of H_n* and
+    lambda of the tetrahedral nodes each add up to 4n^3."""
+    total = Fraction(0)
+    for rule in ("hn", "hstar", "lambda"):
+        nodes, a, q = _RULES[rule](n)
+        total += abs(Fraction(int(np.broadcast_to(a, len(nodes)).sum()), q) - 4 * n**3)
+    return total
 
 
 def orthonormality(n: int) -> float:
     """Max |G - I| over the Gram matrices of phi_k, k in H_n, under the node
     average over H_n and the weighted rule over H_n*; G[k, l] = rule at cell(l - k)."""
-    hn, star = generate_Hn(n), generate_Hn_star(n)
-    if np.bincount(_freq_cells(hn, n)).max() > 1:
+    if np.bincount(_freq_cells(generate_Hn(n), n)).max() > 1:
         return 1.0
-    rules = ((hn, 1.0), (star, 1.0 / _star_sizes(n)))
-    return max(_err(_rule(j, w, n), np.arange(4 * n**3) == 0) for j, w in rules)
+    return max(_err(_rule(rule, n), np.arange(4 * n**3) == 0) for rule in ("hn", "hstar"))
 
 
 def dodeca_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*."""
     big = generate_Hn_star(2 * n - 1)
-    vals = _rule(generate_Hn_star(n), 1.0 / _star_sizes(n), n)[_freq_cells(big, n)]
+    vals = _rule("hstar", n)[_freq_cells(big, n)]
     return _err(vals, np.all(big == 0, axis=1))
 
 
@@ -85,7 +87,7 @@ def tetra_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the tetrahedral rule on TC_k, the mean of
     phi_{k sigma} over the 24 permutations sigma, for k in Lambda_{2n-1}."""
     ks = lambda_nodes(2 * n - 1)
-    vals = _rule(lambda_nodes(n), lambda_weights(n), n)[_freq_cells(ks[:, PERM_TABLE], n)]
+    vals = _rule("lambda", n)[_freq_cells(ks[:, PERM_TABLE], n)]
     return _err(vals.mean(axis=1), np.all(ks == 0, axis=1))
 
 

@@ -13,6 +13,14 @@ is held as its integer denominator (a Fraction for one node) and the
 tetrahedral weight lambda is an integer; they convert to float only when a
 quadrature sum is actually formed.
 
+``_RULES`` is the one table of the paper's four node rules, each of the form
+(1/4n^3) sum_j (a_j/q) f(j/4n) with integer a_j and q: it maps a rule name to
+n -> (nodes, a, q).  ``hn`` is H_n with weight 1, ``hstar`` H_n* with
+c_j = (12 / class size) / 12, ``lambda`` the tetrahedral set with lambda_j
+and ``interior`` the strictly interior tetrahedral set with 24.  The inner
+products, cubature rules, claims and kernels read their weights there; a
+float weight is one division of those integers (``_rule_weights``).
+
 The node and frequency sets and the weights in their order are pure
 functions of the degree, built once per degree: each keeps the last
 _CACHED_DEGREES = 8 degrees asked for (least recently used out) and hands
@@ -234,3 +242,20 @@ def generate_Lambda_n(n: int) -> list:
         (tuple(k), TETRA_STRATA[w])
         for k, w in zip(kk.tolist(), lambdas(kk, n).tolist())
     ]
+
+
+# name -> n -> (nodes, a, q): the rule (1/4n^3) sum_j (a_j/q) f(j/4n); 12 is
+# the least common multiple of the class sizes 1, 2, 3, 4 and 6
+_RULES = {
+    "hn": lambda n: (generate_Hn(n), 1, 1),
+    "hstar": lambda n: (generate_Hn_star(n), 12 // _star_sizes(n), 12),
+    "lambda": lambda n: (lambda_nodes(n), lambda_weights(n), 1),
+    "interior": lambda n: (lambda_circ_nodes(n), 24, 1),
+}
+
+
+def _rule_weights(rule: str, n: int) -> tuple:
+    """The nodes of a rule and their weights a_j / (q 4n^3) as floats (a
+    scalar when a is): each one correctly rounded division of integers."""
+    nodes, a, q = _RULES[rule](n)
+    return nodes, a / (q * 4 * n**3)

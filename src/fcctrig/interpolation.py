@@ -16,8 +16,11 @@ kind        nodes j               K         w_k       s_sigma       a_j
 ``lnstar``  tetrahedral           H_n*      c_k/4n^3  24, unsigned  lambda_j
 ==========  ====================  ========  ========  ============  ========
 
-with c_k = 1/(class size of k).  So ``in`` and ``instar`` use Phi_n and
-Phi_n*, ``lnstar`` is lambda_j P+ Phi_n*, and ``ln`` is (6/n^3) P- of the
+with c_k = 1/(class size of k).  The w_k of ``in``, ``instar`` and
+``lnstar`` are the weights of the rules ``hn`` and ``hstar`` of
+``indexsets._RULES``; the 6/n^3 of ``ln`` is not a node rule's.  So
+``in`` and ``instar`` use Phi_n and Phi_n*, ``lnstar`` is
+lambda_j P+ Phi_n*, and ``ln`` is (6/n^3) P- of the
 theta difference theta_n - theta_{n-1}, the Dirichlet kernel of
 H_{n-1}* = H_n circ.  ``instar`` interpolates only at interior nodes; at
 a boundary node it produces the plain sum of f over the node's
@@ -72,6 +75,8 @@ import numpy as np
 
 from ._parallel import map_chunks
 from .indexsets import (
+    _RULES,
+    _rule_weights,
     generate_Hn,
     generate_Hn_circ,
     generate_Hn_star,
@@ -82,11 +87,11 @@ from .indexsets import (
     weight_lambda,
 )
 from .kernels import phi_n_star, theta_n
-from .lattice import _box, _degree, _points, fold_to_omega_H, hindex
+from .lattice import _CHUNK_ELEMENTS, _box, _degree, _points, fold_to_omega_H, hindex
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .tetra import point_h_to_regular, point_regular_to_h
-from .transforms import _CHUNK_ELEMENTS, TrigPoly, _sample, _star_weights, unit_cell_points
-from .trigbasis import tc, ts
+from .transforms import TrigPoly, _sample, unit_cell_points
+from .trigbasis import _compact_rows
 
 def node_set(kind: str, n: int) -> np.ndarray:
     """The operator's nodes; ValueError for an unknown kind or a degree it lacks."""
@@ -114,15 +119,19 @@ def ell_circ(j, n: int, t) -> np.ndarray:
     return (vals * PERM_SIGNS).sum(axis=-1) * (6.0 / n**3) / 24.0
 
 
+def _basis_sum(rule: str, g, a_j, j: np.ndarray, n: int, t) -> np.ndarray:
+    """a_j (1/4n^3) sum_k (a_k/q) g_k(t) conj(g_k(j / 4n)) over the rows k of
+    ``indexsets._RULES[rule]``, g_k the compact TC_k (g = cos) or TS_k (g =
+    sin): one ``_compact_rows`` call per argument; shape t.shape[:-1]."""
+    ks, a, q = _RULES[rule](n)
+    node = np.conj(_compact_rows(ks, j / (4.0 * n), g))
+    return _compact_rows(ks, _points(t), g) @ (a / q * node) * (a_j / (4.0 * n**3))
+
+
 def ell_circ_ts_sum(j, n: int, t) -> np.ndarray:
-    """Oracle: (144/n^3) sum over interior indices of TS_k(t) conj(TS_k(node))."""
-    j, n = hindex(j), _degree(n)
-    t = _points(t)
-    pt = j.astype(float) / (4.0 * n)
-    total = 0.0
-    for k in lambda_circ_nodes(n):
-        total = total + ts(k, t) * np.conj(ts(k, pt))
-    return total * 144.0 / n**3
+    """Oracle: (144/n^3) sum over interior indices of TS_k(t) conj(TS_k(node)),
+    that is 24 times the ``interior`` rule's sum."""
+    return _basis_sum("interior", np.sin, 24, hindex(j), _degree(n), t)
 
 
 def ell_tri(j, n: int, t) -> np.ndarray:
@@ -138,13 +147,7 @@ def ell_tri_tc_sum(j, n: int, t) -> np.ndarray:
     """Oracle: (lambda_j/4n^3) sum over the tetrahedral set of
     lambda_k TC_k(t) conj(TC_k(node))."""
     j = hindex(j)
-    lam_j = weight_lambda(j, n)
-    t = _points(t)
-    pt = j.astype(float) / (4.0 * n)
-    total = 0.0
-    for k, lam_k in zip(lambda_nodes(n), lambda_weights(n).tolist()):
-        total = total + lam_k * tc(k, t) * np.conj(tc(k, pt))
-    return total * lam_j / (4.0 * n**3)
+    return _basis_sum("lambda", np.cos, weight_lambda(j, n), j, n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +193,13 @@ _Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
 
 
 _KINDS = {
-    "in": _Kind(generate_Hn, generate_Hn, lambda n: 1.0 / (4 * n**3),
+    "in": _Kind(generate_Hn, generate_Hn, lambda n: _rule_weights("hn", n)[1],
                 np.ones(1), lambda n: 1.0, dodeca_grid, False),
-    "instar": _Kind(generate_Hn_star, generate_Hn_star, _star_weights,
+    "instar": _Kind(generate_Hn_star, generate_Hn_star, lambda n: _rule_weights("hstar", n)[1],
                     np.ones(1), lambda n: 1.0, dodeca_grid, True),
     "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
                 PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
-    "lnstar": _Kind(lambda_nodes, generate_Hn_star, _star_weights,
+    "lnstar": _Kind(lambda_nodes, generate_Hn_star, lambda n: _rule_weights("hstar", n)[1],
                     np.ones(24), lambda_weights, tetra_grid, True),
 }
 KINDS = tuple(_KINDS)

@@ -1,7 +1,8 @@
 """Dirichlet and interpolation kernels, compact and direct forms.
 
 Every kernel with a closed form also has a ``*_direct`` companion that sums
-exponentials over the defining index set in fixed lexicographic order.  The
+exponentials over the defining index set, one ``lattice._expsum_rows``
+call in chunks of points whose phases hold at most 2^20 numbers.  The
 compact forms are oracles only: the ``kernel`` command, interpolation, the
 Lebesgue scans and Fourier coefficients work on coefficient boxes, FFTs of
 node or cell samples and the node group, and are tested against the compact
@@ -23,8 +24,8 @@ import operator
 
 import numpy as np
 
-from .indexsets import _degree, _star_sizes, generate_Hn, generate_Hn_star, strata
-from .lattice import _PAIRS, _expsum, _points
+from .indexsets import _degree, _rule_weights, generate_Hn_star, strata
+from .lattice import _PAIRS, _expsum_rows, _points
 
 SING_TOL = 1e-8
 
@@ -68,7 +69,7 @@ def dirichlet_product(n: int, t) -> np.ndarray:
 
 def dirichlet_direct(n: int, t) -> np.ndarray:
     """Oracle: explicit exponential sum over the star frequency set."""
-    return _expsum(generate_Hn_star(n), t).sum(axis=-1)
+    return _expsum_rows(generate_Hn_star(n), 1.0, t)
 
 
 def phi_n_fund(n: int, t) -> np.ndarray:
@@ -77,7 +78,7 @@ def phi_n_fund(n: int, t) -> np.ndarray:
     Mean of the 4n^3 exponentials; there is no shorter closed form.  The
     ``in`` interpolant is tested against sums of this kernel.
     """
-    return _expsum(generate_Hn(n), t).sum(axis=-1) / (4 * n**3)
+    return _expsum_rows(*_rule_weights("hn", n), t)
 
 
 def edge_sum(n: int, t) -> np.ndarray:
@@ -102,7 +103,7 @@ def edge_sum_direct(n: int, t) -> np.ndarray:
     """Oracle for edge_sum: sum exponentials over the two edge strata."""
     kk = generate_Hn_star(n)
     # |I| + |J| = 3 exactly on the (1, 2) and (2, 1) strata
-    return _expsum(kk[strata(kk, n).sum(axis=1) == 3], t).sum(axis=-1)
+    return _expsum_rows(kk[strata(kk, n).sum(axis=1) == 3], 1.0, t)
 
 
 def phi_n_star(n: int, t) -> np.ndarray:
@@ -122,6 +123,7 @@ def phi_n_star(n: int, t) -> np.ndarray:
 
 
 def phi_n_star_direct(n: int, t) -> np.ndarray:
-    """Oracle: weighted exponential sum over the star set."""
-    return (_expsum(generate_Hn_star(n), t) * (1.0 / _star_sizes(n))).sum(axis=-1) / (4 * n**3)
+    """Oracle: weighted exponential sum over the star set, with the weights
+    of the ``hstar`` rule."""
+    return _expsum_rows(*_rule_weights("hstar", n), t)
 

@@ -27,6 +27,10 @@ at a time, and the closure |x_i - x_j| <= s is ``_spread(x) <= s``, since
 the largest difference is max x - min x.  The domain tests, the node and
 frequency sets (s = 4n) and ``transforms._rho`` go through them, and
 ``boundary.boundary_slots`` reads the boundary off the same row extremes.
+
+``_CHUNK_ELEMENTS`` = 2^20 is the package's one cap on the elements of any
+array a chunk of points forms; ``_expsum_rows``, the direct weighted sum
+of exponentials behind the oracle kernels, works to it.
 """
 
 from __future__ import annotations
@@ -193,6 +197,23 @@ def fold_to_omega_H(t) -> np.ndarray:
 def _expsum(kk: np.ndarray, t) -> np.ndarray:
     """phi_k(t) for points t (rows) and frequencies kk (columns) or one k."""
     return np.exp(0.5j * np.pi * (_points(t) @ kk.astype(float).T))
+
+
+# complex elements in any one array that a chunk of points forms
+_CHUNK_ELEMENTS = 2**20
+
+
+def _expsum_rows(kk: np.ndarray, w, t) -> np.ndarray:
+    """sum_k w_k phi_k(t) over the frequency rows kk, with weights w (a scalar
+    or one per row), at the points t (..., 4); points go in chunks whose
+    phases hold at most 2^20 numbers."""
+    t = _points(t)
+    flat, w = t.reshape(-1, 4), np.broadcast_to(w, len(kk)).astype(complex)
+    step = max(1, _CHUNK_ELEMENTS // max(1, len(kk)))
+    out = np.empty(len(flat), dtype=complex)
+    for i in range(0, len(flat), step):
+        out[i : i + step] = _expsum(kk, flat[i : i + step]) @ w
+    return out.reshape(t.shape[:-1])
 
 
 def phi(k, t) -> np.ndarray:

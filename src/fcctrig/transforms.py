@@ -22,17 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexsets import (
-    _degree,
-    _star_sizes,
-    generate_Hn,
-    generate_Hn_star,
-    lambda_circ_nodes,
-    lambda_nodes,
-    lambda_weights,
-    to_reduced,
-)
-from .lattice import A_MATRIX, _box, _points, _spread, to_homogeneous
+from .indexsets import _RULES, _degree, _rule_weights, generate_Hn_star, to_reduced
+from .lattice import _CHUNK_ELEMENTS, A_MATRIX, _box, _points, _spread, to_homogeneous
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -74,64 +65,55 @@ def _pair(f, g, pts: np.ndarray, where: str, at: np.ndarray):
     return fv * np.conj(_sample(g, pts, where, at, "value of g", name="g returned"))
 
 
-def _rule(f, g, w, pts: np.ndarray, where: str, at: np.ndarray):
-    """sum_j w_j f conj(g), or sum_j w_j f for g None, at the points pts, in
-    the samples' dtype: the one weighted node sum of the inner products and
-    the cubature rules."""
-    return (_pair(f, g, pts, where, at) * w).sum()
-
-
-def _node_sum(f, g, idx: np.ndarray, n: int, w=1.0):
-    return _rule(f, g, w, idx / (4.0 * n), f"the degree-{n} nodes", idx)
-
-
-def _star_sum(f, g, n: int) -> complex:
-    return complex(_node_sum(f, g, generate_Hn_star(n), n, 1.0 / _star_sizes(n)) / (4 * n**3))
-
-
-def _tetra_sum(f, g, n: int) -> complex:
-    w = lambda_weights(n).astype(float)
-    return complex(_node_sum(f, g, lambda_nodes(n), n, w) / (4 * n**3))
+def _node_sum(f, g, rule: str, n: int, regular: bool = False) -> complex:
+    """(1/4n^3) sum_j (a_j/q) f conj(g), or the same of f for g None, over the
+    nodes j of ``indexsets._RULES[rule]`` at j/4n, or in regular coordinates
+    at to_reduced(j)/n: the one weighted node sum of the inner products and
+    the cubature rules, formed in the samples' dtype."""
+    idx, a, q = _RULES[rule](n)
+    at = to_reduced(idx) if regular else idx
+    pts = at / (n if regular else 4.0 * n)
+    where = f"the degree-{n} {'regular ' if regular else ''}nodes"
+    return complex((_pair(f, g, pts, where, at) * (a / q)).sum() / (4 * n**3))
 
 
 def inner_n(f, g, n: int) -> complex:
     """Plain node average over the half-open set: (1/4n^3) sum f conj(g)."""
-    return complex(_node_sum(f, g, generate_Hn(n), n) / (4 * n**3))
+    return _node_sum(f, g, "hn", n)
 
 
 def inner_n_star(f, g, n: int) -> complex:
     """Weighted node sum over the symmetric set with the boundary weights c."""
-    return _star_sum(f, g, n)
+    return _node_sum(f, g, "hstar", n)
 
 
 def inner_tetra(f, g, n: int) -> complex:
     """Tetrahedral inner product: (1/4n^3) sum lambda_j f conj(g)."""
-    return _tetra_sum(f, g, n)
+    return _node_sum(f, g, "lambda", n)
 
 
 def inner_tetra_interior(f, g, n: int) -> complex:
     """Interior tetrahedral inner product: (6/n^3) sum over strictly interior nodes."""
-    return complex(_node_sum(f, g, lambda_circ_nodes(n), n) * 6.0 / n**3)
+    return _node_sum(f, g, "interior", n)
 
 
 def cubature_dodeca(f, n: int) -> complex:
     """Symmetric-node rule for the normalized dodecahedron integral; exact
     for trigonometric polynomials of degree up to 2n - 1.  Equal (==) to
     ``inner_n_star(f, one, n)``, without sampling ``one``."""
-    return _star_sum(f, None, n)
+    return _node_sum(f, None, "hstar", n)
 
 
 def cubature_tetra(f, n: int) -> complex:
     """Tetrahedral-node rule; exact on the symmetrized space of degree 2n - 1.
     Equal (==) to ``inner_tetra(f, one, n)``, without sampling ``one``."""
-    return _tetra_sum(f, None, n)
+    return _node_sum(f, None, "lambda", n)
 
 
 def cubature_tetra_regular(f3, n: int) -> complex:
     """Same rule in regular-tetrahedron coordinates: nodes (k1, k2, k3)/n,
     0 <= k3 <= k2 <= k1 <= n, with the weights of the homogeneous rule."""
-    kp, w = to_reduced(lambda_nodes(n)), lambda_weights(n).astype(float)
-    return complex(_rule(f3, None, w, kp / n, f"the degree-{n} regular nodes", kp) / (4 * n**3))
+    return _node_sum(f3, None, "lambda", n, regular=True)
 
 
 def unit_cell_points(q: int) -> np.ndarray:
@@ -154,10 +136,6 @@ def continuous_inner(f, g, quad_order: int) -> complex:
     """
     pts = unit_cell_points(quad_order)
     return complex(_pair(f, g, pts, f"the {quad_order}^3 cell grid", pts).mean())
-
-
-# complex elements in any one array that a chunk of points forms
-_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,11 +222,6 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     return TrigPoly._place(kk, np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3, n)
 
 
-def _star_weights(n: int) -> np.ndarray:
-    """c_k / 4n^3 at the rows k of H_n*: the coefficients of Phi_n*."""
-    return 1.0 / (4 * n**3 * _star_sizes(n))
-
-
 def _rho(n: int) -> np.ndarray:
     """rho(k') = (max k - min k) / 4 on the (2n+1)^3 box of k' in [-n, n]^3:
     the spread of (k'_1, k'_2, k'_3, 0), whose slots are (k_i - k_4) / 4.
@@ -261,8 +234,8 @@ def _rho(n: int) -> np.ndarray:
 _KERNEL_BOXES = {
     "theta": lambda n: TrigPoly._own(np.maximum(n - _rho(_degree(n) - 1), 0).astype(complex)),
     "dirichlet": lambda n: TrigPoly._own((_rho(_degree(n)) <= n).astype(complex)),
-    "phistar": lambda n: TrigPoly._place(generate_Hn_star(n), _star_weights(n), n),
-    "phin": lambda n: TrigPoly._place(generate_Hn(n), 1.0 / (4 * n**3), n),
+    "phistar": lambda n: TrigPoly._place(*_rule_weights("hstar", n), n),
+    "phin": lambda n: TrigPoly._place(*_rule_weights("hn", n), n),
 }
 
 

@@ -13,6 +13,7 @@ from fcctrig.indexsets import (
     _star_sizes,
     generate_Hn,
     generate_Hn_star,
+    lambda_circ_nodes,
     lambda_nodes,
     lambda_weights,
 )
@@ -28,10 +29,13 @@ def dense_rule(nodes, w, n, freqs):
     return np.broadcast_to(w, len(nodes)).astype(float) @ e / (4 * n**3)
 
 
+# the name of each rule in indexsets._RULES, and its nodes and float weights
+# as the oracle forms them, on its own
 RULES = {
-    "H_n": lambda n: (generate_Hn(n), 1.0),
-    "H_n*": lambda n: (generate_Hn_star(n), 1.0 / _star_sizes(n)),
-    "tetrahedral": lambda n: (lambda_nodes(n), lambda_weights(n)),
+    "H_n": ("hn", lambda n: (generate_Hn(n), 1.0)),
+    "H_n*": ("hstar", lambda n: (generate_Hn_star(n), 1.0 / _star_sizes(n))),
+    "tetrahedral": ("lambda", lambda n: (lambda_nodes(n), lambda_weights(n))),
+    "interior": ("interior", lambda n: (lambda_circ_nodes(n), 24.0)),
 }
 
 
@@ -39,11 +43,12 @@ RULES = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rule_transform_matches_the_dense_sum_on_every_cell(rule, n):
     # H_n meets every cell once, so its frequencies read the whole transform
-    nodes, w = RULES[rule](n)
+    name, oracle = RULES[rule]
+    nodes, w = oracle(n)
     hn = generate_Hn(n)
     cells = _freq_cells(hn, n)
     assert np.array_equal(np.sort(cells), np.arange(4 * n**3))
-    got = claims._rule(nodes, w, n)[cells]
+    got = claims._rule(name, n)[cells]
     assert np.abs(got - dense_rule(nodes, w, n, hn)).max() < 1e-13
 
 
@@ -68,15 +73,35 @@ def test_orthonormality_fails_when_two_frequencies_share_a_cell(n, monkeypatch):
     assert claims.orthonormality(n) >= 1
 
 
+def grow_first_weight(rule, n, monkeypatch):
+    """Make the first weight a_0 / q of one rule of the table grow by one."""
+    nodes, a, q = indexsets._RULES[rule](n)
+    grown = a + q * (np.arange(len(nodes)) == 0)
+    monkeypatch.setitem(indexsets._RULES, rule, lambda m: (nodes, grown, q))
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_cubature_fails_when_one_weight_grows_by_one(n, monkeypatch):
-    sizes, lam = _star_sizes(n), lambda_weights(n)
     assert max(claims.dodeca_cubature(n), claims.tetra_cubature(n)) < 1e-10
-    first = np.arange(len(sizes)) == 0
-    monkeypatch.setattr(claims, "_star_sizes", lambda m: 1.0 / (1.0 / sizes + first))
-    monkeypatch.setattr(claims, "lambda_weights", lambda m: lam + (np.arange(len(lam)) == 0))
+    grow_first_weight("hstar", n, monkeypatch)
+    grow_first_weight("lambda", n, monkeypatch)
     assert claims.dodeca_cubature(n) > 1e-10
     assert claims.tetra_cubature(n) > 1e-10
+
+
+# per rule, the node-sum claim that reads its weights
+RULE_CLAIMS = {"hn": "orthonormality", "hstar": "dodeca_cubature", "lambda": "tetra_cubature"}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CLAIMS))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_adding_q_to_one_integer_weight_fails_its_claims(rule, n, monkeypatch):
+    claim = getattr(claims, RULE_CLAIMS[rule])
+    assert claims.weight_sums(n) == 0
+    assert claim(n) < 1e-10
+    grow_first_weight(rule, n, monkeypatch)
+    assert claims.weight_sums(n) == 1
+    assert claim(n) > 1e-10
 
 
 @pytest.mark.parametrize("claim", ["orthonormality", "dodeca_cubature", "tetra_cubature"])

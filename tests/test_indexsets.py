@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fcctrig.indexsets import (
+    _RULES,
+    _rule_weights,
     _star_sizes,
     class_sizes,
     generate_Hn,
@@ -355,3 +357,38 @@ def test_class_sizes_memory_is_bounded(monkeypatch):
     kk = generate_Hn_star(32)
     peak = _traced_peak(lambda: class_sizes(kk, 32))
     assert peak < 12 * 2**20, peak
+
+
+# the node set of every rule of the table
+RULE_NODES = {"hn": generate_Hn, "hstar": generate_Hn_star, "lambda": lambda_nodes,
+              "interior": lambda_circ_nodes}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_NODES))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rules_are_integer_weights_on_the_node_sets_summing_to_4n3(rule, n):
+    nodes, a, q = _RULES[rule](n)
+    assert nodes is RULE_NODES[rule](n)
+    a = np.broadcast_to(a, len(nodes))
+    assert a.dtype.kind == "i" and isinstance(q, int)
+    if rule != "interior":  # (1/4n^3) sum 24 over Lambda_n circ is 6 binom(n-1, 3) / n^3
+        assert Fraction(int(a.sum()), q) == 4 * n**3
+    else:
+        assert a.sum() == 24 * comb(n - 1, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hstar_weights_are_the_class_weights_bit_for_bit(n):
+    nodes, a, q = _RULES["hstar"](n)
+    assert q == 12 and np.array_equal(a * _star_sizes(n), np.full(len(nodes), 12))
+    assert (a / q).tobytes() == (1.0 / _star_sizes(n)).tobytes()
+    got = _rule_weights("hstar", n)[1]
+    assert got.tobytes() == (1.0 / (4 * n**3 * _star_sizes(n))).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rule_weights_of_the_other_rules_are_the_old_floats(n):
+    assert _rule_weights("hn", n)[1] == 1.0 / (4 * n**3)
+    assert _rule_weights("interior", n)[1] == 6.0 / n**3
+    got = _rule_weights("lambda", n)[1]
+    assert got.tobytes() == (lambda_weights(n) / (4.0 * n**3)).tobytes()

@@ -11,6 +11,8 @@ from fcctrig.indexsets import (
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
+    lambda_weights,
+    weight_lambda,
 )
 from fcctrig.interpolation import (
     BUILDERS,
@@ -111,6 +113,45 @@ def test_antisymmetrizing_one_slot_suffices(n):
         )
         two = project_minus(lambda tp: dirichlet(n, tp - sv), tv)
         assert abs(one - two) < 1e-10
+
+
+def loop_tc_sum(j, n, t):
+    """The per-index loop over tc that ``ell_tri_tc_sum`` replaced."""
+    pt = np.asarray(j, dtype=float) / (4.0 * n)
+    total = 0.0
+    for k, lam_k in zip(lambda_nodes(n), lambda_weights(n).tolist()):
+        total = total + lam_k * tc(k, t) * np.conj(tc(k, pt))
+    return total * weight_lambda(j, n) / (4.0 * n**3)
+
+
+def loop_ts_sum(j, n, t):
+    """The per-index loop over ts that ``ell_circ_ts_sum`` replaced."""
+    pt = np.asarray(j, dtype=float) / (4.0 * n)
+    total = 0.0
+    for k in lambda_circ_nodes(n):
+        total = total + ts(k, t) * np.conj(ts(k, pt))
+    return total * 144.0 / n**3
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_sums_equal_the_per_index_loops(n):
+    t = rand_t(np.random.default_rng(49), 30)
+    for loop, oracle, nodes in ((loop_tc_sum, ell_tri_tc_sum, lambda_nodes(n)),
+                                (loop_ts_sum, ell_circ_ts_sum, lambda_circ_nodes(n))):
+        for j in nodes[:: max(1, len(nodes) // 4)]:
+            got, want = oracle(j, n, t), loop(j, n, t)
+            assert got.shape == (30,)
+            assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 3, 4)])
+def test_basis_sums_keep_the_point_shape_below_degree_4(n, shape):
+    # no interior index below degree 4: the sine sum is 0 at every point
+    t = np.zeros(shape)
+    got = ell_circ_ts_sum((4 * n, 0, 0, -4 * n), n, t)
+    assert np.shape(got) == shape[:-1] and not np.any(got)
+    assert np.shape(ell_tri_tc_sum((3 * n, -n, -n, -n), n, t)) == shape[:-1]
 
 
 def test_fundamental_functions_are_real():

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fcctrig.indexsets import generate_Hn, generate_Hn_star
+from fcctrig import claims
+from fcctrig.indexsets import _star_sizes, generate_Hn, generate_Hn_star, strata
+from fcctrig.lattice import _expsum
+from fcctrig.transforms import unit_cell_points
 from fcctrig.kernels import (
     K_n,
     dirichlet,
@@ -180,3 +185,54 @@ def test_kernels_are_permutation_invariant(n):
         tp = t[..., p]
         assert np.abs(dirichlet(n, tp) - d0).max() < 1e-10
         assert np.abs(phi_n_star(n, tp) - p0).max() < 1e-12
+
+
+# the unchunked sums the direct kernels formed before they took chunks of points
+UNCHUNKED = {
+    dirichlet_direct: lambda n, t: _expsum(generate_Hn_star(n), t).sum(axis=-1),
+    phi_n_fund: lambda n, t: _expsum(generate_Hn(n), t).sum(axis=-1) / (4 * n**3),
+    edge_sum_direct: lambda n, t: _expsum(
+        generate_Hn_star(n)[strata(generate_Hn_star(n), n).sum(axis=1) == 3], t).sum(axis=-1),
+    phi_n_star_direct: lambda n, t: (
+        _expsum(generate_Hn_star(n), t) * (1.0 / _star_sizes(n))).sum(axis=-1) / (4 * n**3),
+}
+
+
+@pytest.mark.parametrize("fn", UNCHUNKED, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_direct_kernels_equal_their_unchunked_sums(fn, n):
+    t = rand_t(np.random.default_rng(60), 700).reshape(7, 100, 4)
+    got, want = fn(n, t), UNCHUNKED[fn](n, t)
+    assert got.shape == (7, 100)
+    assert np.abs(got - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the direct sums at the sizes the dodecahedral benchmark and ``verify --n 32``
+# ask for; unchunked they peaked near 186, 156 and 211 MiB
+DIRECT_SUMS = {
+    "phi_n_star_direct(8), 2,465 points": (
+        lambda: phi_n_star_direct(8, generate_Hn_star(8) / 32.0), (8,)),
+    "dirichlet_direct(4), 13,824 points": (
+        lambda: dirichlet_direct(4, unit_cell_points(24)), (4,)),
+    "compact_kernels(32), 50 points": (
+        lambda: claims.compact_kernels(32, rand_t(np.random.default_rng(61), 50)), (32,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_SUMS))
+def test_direct_sum_memory_is_bounded(case, monkeypatch):
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    call, degrees = DIRECT_SUMS[case]
+    for n in degrees:  # the sets are built, as the benchmark and verify find them
+        generate_Hn(n), generate_Hn_star(n), _star_sizes(n)
+    peak = traced_peak(call)
+    assert peak <= 48 * 2**20, peak

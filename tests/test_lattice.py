@@ -3,10 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import fcctrig.lattice
+from fcctrig.indexsets import generate_Hn_star
 from fcctrig.lattice import (
     A_MATRIX,
     H_MATRIX,
     U_MATRIX,
+    _expsum,
+    _expsum_rows,
     fold_to_omega_H,
     from_homogeneous,
     hindex,
@@ -192,3 +196,34 @@ def test_hindex_names_the_bad_index_in_plain_integers():
 def test_hindex_accepts():
     assert np.array_equal(hindex([4, 0, 0, -4]), np.array([4, 0, 0, -4]))
     assert np.array_equal(hindex(np.array([3, -1, -1, -1])), [3, -1, -1, -1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 2**20])
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (5, 4), (2, 3, 4)])
+def test_expsum_rows_is_the_dense_weighted_sum_in_any_chunks(chunk, shape, monkeypatch):
+    # chunks change only BLAS's blocking, by about 1e-17 relative
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-1.0, 1.0, size=shape)
+    t -= t.mean(axis=-1, keepdims=True)
+    kk = generate_Hn_star(2)
+    w = rng.standard_normal(len(kk))
+    want = (_expsum(kk, t) * w).sum(axis=-1)
+    monkeypatch.setattr(fcctrig.lattice, "_CHUNK_ELEMENTS", chunk)
+    got = _expsum_rows(kk, w, t)
+    assert got.shape == shape[:-1]
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(w).sum()
+    assert np.array_equal(_expsum_rows(kk, 1.0, t), _expsum_rows(kk, np.ones(len(kk)), t))
+
+
+def test_expsum_rows_chunks_hold_at_most_2_20_phases(monkeypatch):
+    calls = []
+
+    def spy(kk, t):
+        calls.append(len(t) * len(kk))
+        return _expsum(kk, t)
+
+    monkeypatch.setattr(fcctrig.lattice, "_expsum", spy)
+    kk = generate_Hn_star(8)  # 2,465 rows
+    t = np.zeros((1000, 4))
+    _expsum_rows(kk, 1.0, t)
+    assert len(calls) == 3 and max(calls) <= 2**20
