@@ -7,9 +7,9 @@ their shortest round-trip form, JSON keys are sorted.
 
 Exit codes: 0 success, 1 usage error (every ValueError), 2 verification
 failure, 3 I/O error.  ``lebesgue`` takes --quad for ``sn`` only and --grid
-for the other kinds only.  The environment variable FCC_TRIG_THREADS caps
-the workers of the interpolation Lebesgue scans (0 or unset picks one
-worker per CPU).
+for the other kinds only; ``interpolate`` takes --f or --samples, not both.
+The environment variable FCC_TRIG_THREADS caps the workers of the
+interpolation Lebesgue scans (0 or unset picks one worker per CPU).
 """
 
 from __future__ import annotations
@@ -67,20 +67,37 @@ def _builtin(name: str, k):
     raise ValueError(f"unknown builtin function {name!r}")
 
 
-def _cells(col, fmt):
-    """fmt of each distinct value of an array of rows, as an object array, and
-    the (rows, columns) index of every cell into it."""
+def _json_text(v) -> str:
+    # repr is what json.dumps prints for a finite int or float
+    if type(v) is int or (type(v) is float and math.isfinite(v)):
+        return repr(v)
+    return json.dumps(v)
+
+
+def _cells(col, fmt, label=None):
+    """Texts of the distinct values of an array of rows, fmt(label(value)),
+    as an object array, and the (rows, columns) code of every cell into it.
+
+    An integer column whose span is at most its cell count is coded by
+    value - min, with a text at each value that occurs ("" elsewhere); any
+    other column by a sort of its values, keyed on their bits so that -0.0
+    is not printed as 0.0.
+    """
     cols = col.reshape(len(col), -1)
-    # keyed on the bits of numbers so that -0.0 is not printed as 0.0
+    text = fmt if label is None else lambda v: fmt(label(v))
+    if cols.dtype.kind in "iu":
+        lo = int(cols.min())
+        span = int(cols.max()) - lo + 1
+        if span <= cols.size:
+            codes = cols - lo
+            seen = np.flatnonzero(np.bincount(codes.ravel(), minlength=span))
+            texts = np.full(span, "", dtype=object)
+            texts[seen] = [text(v) for v in (seen + lo).tolist()]
+            return texts, codes
     keys = cols if cols.dtype.kind == "U" else cols.view(f"u{cols.itemsize}")
     uniq, inv = np.unique(keys, return_inverse=True)
     vals = uniq if cols.dtype.kind == "U" else uniq.view(cols.dtype)
-    return np.array([fmt(v) for v in vals.tolist()], dtype=object), inv.reshape(cols.shape)
-
-
-def _csv(header, lines) -> str:
-    # cells are numbers and fixed labels, none needs CSV quoting
-    return "\n".join([",".join(header), *lines]) + "\n"
+    return np.array([text(v) for v in vals.tolist()], dtype=object), inv.reshape(cols.shape)
 
 
 def _record(args, obj) -> str:
@@ -88,7 +105,8 @@ def _record(args, obj) -> str:
     None as an empty cell."""
     if args.format == "json":
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    return _csv(list(obj), [",".join("" if v is None else str(v) for v in obj.values())])
+    cells = ("" if v is None else str(v) for v in obj.values())
+    return ",".join(obj) + "\n" + ",".join(cells) + "\n"
 
 
 def _table(args, obj, key, fields) -> str:
@@ -96,31 +114,42 @@ def _table(args, obj, key, fields) -> str:
     records under obj[key].
 
     A field is (record key, or None for a CSV-only column; CSV column
-    names; array with one row per record).  A 2-D array fills one CSV
-    column per name and one list per record.  Each field's distinct values
-    are formatted once (str for CSV, json.dumps for JSON) and every row is
-    one join of its cells; a JSON record's keys, brackets and braces go
-    onto the distinct texts of its first and last cells.
+    names; array with one row per record[; label]).  A 2-D array fills one
+    CSV column per name and one list per record.  A field with a label
+    prints label(v) for each value v of its integer array.  Each field's
+    distinct values are formatted once (str for CSV; repr, or json.dumps
+    for strings and non-finite numbers, for JSON) with the separators
+    around them, the cells of the table are gathered into one object array
+    and the text is one join.  CSV cells are numbers and fixed labels,
+    none needs quoting.
     """
     js = args.format == "json"
     if js:
         fields = sorted((f for f in fields if f[0]), key=lambda f: f[0])
-    cols = []  # per column: [distinct texts, index of each row's text]
-    for rkey, _, col in fields:
-        texts, inv = _cells(col, json.dumps if js else str)
-        field = [[texts, i] for i in inv.T]
-        if js:  # adding a str to an object array adds it to every text
+        keys = sorted({**obj, key: None})
+        i = keys.index(key)
+        pairs = [f"{json.dumps(k)}:{json.dumps(obj.get(k))}" for k in keys]
+        head = "{" + "".join(p + "," for p in pairs[:i]) + f"{json.dumps(key)}:["
+        tail = "]" + "".join("," + p for p in pairs[i + 1:]) + "}\n"
+    else:
+        head, tail = ",".join(name for _, names, *_ in fields for name in names) + "\n", ""
+    cols = []  # per column: [prefix, distinct texts, code of each row, suffix]
+    for rkey, _, col, *label in fields:
+        texts, codes = _cells(col, _json_text if js else str, *label)
+        field = [["", texts, c, ","] for c in codes.T]
+        if js:
             brackets = col.ndim > 1
-            field[0][0] = f"{json.dumps(rkey)}:" + "[" * brackets + field[0][0]
-            field[-1][0] = field[-1][0] + "]" * brackets
+            field[0][0] = f"{json.dumps(rkey)}:" + "[" * brackets
+            field[-1][3] = "]" * brackets + ","
         cols += field
-    cols[0][0], cols[-1][0] = "{" * js + cols[0][0], cols[-1][0] + "}" * js
-    rows = map(",".join, zip(*(texts[inv].tolist() for texts, inv in cols)))
-    if not js:
-        return _csv([name for _, names, _ in fields for name in names], rows)
-    body = f"[{','.join(rows)}]"
-    return "{" + ",".join(f"{json.dumps(k)}:{body if k == key else json.dumps(v)}"
-                          for k, v in sorted({**obj, key: None}.items())) + "}\n"
+    cols[0][0] = "{" * js + cols[0][0]
+    cols[-1][3] = cols[-1][3][:-1] + ("}," if js else "\n")
+    cells = np.empty((len(cols[0][2]), len(cols)), dtype=object)
+    for j, (prefix, texts, codes, suffix) in enumerate(cols):
+        cells[:, j] = (prefix + texts + suffix)[codes]
+    # the last record takes no comma after it
+    cells[0, 0], cells[-1, -1] = head + cells[0, 0], cells[-1, -1].removesuffix(",") + tail
+    return "".join(cells.ravel().tolist())
 
 
 def _emit(args, text: str) -> None:
@@ -148,27 +177,24 @@ def cmd_nodes(args) -> int:
     if args.set == "lambda":
         idx = indexsets.lambda_nodes(n)
         keys = indexsets.lambda_weights(n)
-        label = lambda w: (indexsets.TETRA_STRATA[w], str(w), float(w))
+        stratum, weight, weight_float = indexsets.TETRA_STRATA.__getitem__, str, float
     else:
         idx = {"hn": indexsets.generate_Hn, "hstar": indexsets.generate_Hn_star,
                "hcirc": indexsets.generate_Hn_circ}[args.set](n)
         keys = indexsets._star_keys(n) if args.set == "hstar" else indexsets.stratum_keys(idx, n)
-
-        def label(key):
-            a, b, size = map(int, indexsets._unkey(key))
-            return "interior" if key == 0 else f"{a}{b}", str(Fraction(1, size)), 1 / size
-    # stratum and weight depend on the class key only: label each class once
-    uniq, inv = np.unique(keys, return_inverse=True)
-    stratum, weight, weight_float = (np.array(col)[inv.reshape(keys.shape)]
-                                     for col in zip(*map(label, uniq.tolist())))
-    pts = idx.astype(float) / (4.0 * n)
+        size = lambda key: int(indexsets._unkey(key)[2])
+        stratum = lambda key: "interior" if key == 0 else "%d%d" % indexsets._unkey(key)[:2]
+        weight = lambda key: str(Fraction(1, size(key)))
+        weight_float = lambda key: 1 / size(key)
+    # point, stratum and weight are labels of the integer index and class key
+    # columns, each label made once per distinct value
     _emit(args, _table(args, {"set": args.set, "n": n}, "nodes", [
         ("index", ["j1", "j2", "j3", "j4"], idx),
-        ("point", ["t1", "t2", "t3", "t4"], pts),
-        ("cartesian", ["x1", "x2", "x3"], lattice.from_homogeneous(pts)),
-        ("stratum", ["stratum"], stratum),
-        ("weight", ["weight"], weight),
-        (None, ["weight_float"], weight_float),
+        ("point", ["t1", "t2", "t3", "t4"], idx, lambda v: v / (4.0 * n)),
+        ("cartesian", ["x1", "x2", "x3"], lattice.from_homogeneous(idx / (4.0 * n))),
+        ("stratum", ["stratum"], keys, stratum),
+        ("weight", ["weight"], keys, weight),
+        (None, ["weight_float"], keys, weight_float),
     ]))
     return EXIT_OK
 
@@ -227,6 +253,8 @@ def _read_samples(path, kind, n):
 def cmd_interpolate(args) -> int:
     kind, n = args.kind, args.n
     f = None
+    if args.samples and args.f:
+        raise ValueError("--f does not apply with --samples")
     if args.samples:
         interp = _read_samples(args.samples, kind, n)
     elif args.f:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,17 @@ def test_interpolate_needs_input(capsys):
     code, _, err = run(capsys, "interpolate", "--kind", "in", "--n", "2")
     assert code == 1
     assert "error" in err
+
+
+def test_interpolate_rejects_f_with_samples(tmp_path, capsys):
+    # --samples gives the node values, so there is no f to compare against
+    path = write_samples(tmp_path / "samples.csv",
+                         [(k, complex(i, 0.0)) for i, k in enumerate(node_set("lnstar", 2))])
+    for order in (("--f", "expsin", "--samples", path), ("--samples", path, "--f", "expsin")):
+        code, out, err = run(capsys, "interpolate", "--kind", "lnstar", *order, "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert "error: --f does not apply with --samples" in err
 
 
 def test_interpolate_samples_round_trip(tmp_path, capsys):
@@ -631,6 +643,18 @@ OUTPUT_SHA256 = {
         "6f620cff38ab2940b91a3f9747fe3ebb5d6100070dcb65487a498f09acca8172",
     ("nodes", "--set", "lambda", "--n", "24"):
         "500e3cb0d792ce4a0c522adf64c979d471c2e135333f792f5f332d4a955262de",
+    ("nodes", "--set", "hn", "--n", "10", "--format", "json"):
+        "eefb68922f7f2da9edc9f20b8380e268275ad189015ed50af7dd2a23430707d2",
+    ("nodes", "--set", "hcirc", "--n", "10"):
+        "85634eea5fef8e20a6d26b614e73ace5d96b1e9dbec12e9c6c1b41173db51d1e",
+    # 3,798 distinct re values of rounding noise from the coefficient box
+    ("kernel", "--f", "theta", "--n", "8", "--grid", "16"):
+        "bbf6e3138cf5202a6926df3f603a8a3904b2d4214156dfc3ad0bf8d6db454e44",
+    ("kernel", "--f", "theta", "--n", "8", "--grid", "16", "--format", "json"):
+        "bb3dc0f3d7c549898998d6f04120919097c8344f9bc7e0a71d86cea73eff4caa",
+    ("interpolate", "--kind", "in", "--f", "expsin", "--n", "4", "--grid", "6",
+     "--format", "json"):
+        "97a1f02cf28e51cae6f750b9adb964bd1b3e657b728192634eb0a9210d20c3eb",
 }
 
 
@@ -658,3 +682,56 @@ def test_samples_output_bytes_pinned(tmp_path, capsys, fmt):
                        "--n", "2", "--grid", "3", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLES_SHA256[fmt]
+
+
+def _writer_fields(rng, rows):
+    """Fields of every kind the table writer codes: integer columns by offset
+    or by sort, labelled integers, floats by their bits, strings."""
+    i64 = np.iinfo(np.int64)
+    pick = lambda pool, shape: np.array(pool)[rng.integers(len(pool), size=shape)]
+    floats = [-0.0, 0.0, 5e-324, 1e16, 1e-05, -2.5, 1 / 3, math.inf, -math.inf, math.nan]
+    return [
+        ("neg", ["a1", "a2"], rng.integers(-40, 0, size=(rows, 2))),
+        ("one", ["b"], np.full(rows, 7)),
+        ("wide", ["c1", "c2", "c3"], rng.integers(-10**12, 10**12, size=(rows, 3))),
+        ("ext", ["d"], pick([i64.min, i64.max, 0, -1], rows)),
+        ("low", ["e"], np.full(rows, i64.min)),
+        ("flt", ["f1", "f2"], pick(floats, (rows, 2))),
+        ("str", ["g"], pick(["interior", "31", "1/12"], rows)),
+        ("lab", ["h1", "h2"], rng.integers(-5, 6, size=(rows, 2)), lambda v: v / 12.0),
+        (None, ["k"], rng.integers(0, 4, size=rows), lambda v: f"class{v}"),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_table_writer_matches_csv_and_json_modules(seed):
+    rng = np.random.default_rng(9100 + seed)
+    rows = int(rng.integers(1, 60))
+    fields = _writer_fields(rng, rows)
+    obj = {"z": -0.0, "a": "x", "m": None}
+    # the value of every cell as a Python scalar, labelled where the field has a label
+    values = [[[(label[0] if label else lambda v: v)(v) for v in row]
+               for row in col.reshape(rows, -1).tolist()] for _, _, col, *label in fields]
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow([name for _, names, _, *_ in fields for name in names])
+    w.writerows([v for field in values for v in field[r]] for r in range(rows))
+    assert cli._table(types.SimpleNamespace(format="csv"), obj, "rows", fields) == buf.getvalue()
+    records = [{rkey: field[r] if col.ndim > 1 else field[r][0]
+                for (rkey, _, col, *_), field in zip(fields, values) if rkey}
+               for r in range(rows)]
+    want = json.dumps({**obj, "rows": records}, sort_keys=True, separators=(",", ":")) + "\n"
+    assert cli._table(types.SimpleNamespace(format="json"), obj, "rows", fields) == want
+
+
+def test_table_writer_sorts_a_column_wider_than_its_cells():
+    # a lookup over the span 0..2**62 of two cells would not fit in memory
+    col = np.array([0, 2**62])
+    tracemalloc.start()
+    try:
+        out = cli._table(types.SimpleNamespace(format="csv"), {}, "rows", [("v", ["v"], col)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == f"v\n0\n{2**62}\n"
+    assert peak < 1 << 20
