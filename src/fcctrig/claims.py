@@ -7,7 +7,10 @@ their largest absolute error.  Tolerances stay with the callers,
 ``fcc-trig verify`` and ``tests/test_acceptance.py``, so no change here can
 loosen a check.  Node-sum claims take one inverse FFT of a rule's weights
 (``indexsets._RULES``) binned on the node group (``interpolation._node_cells``);
-dense sums are the test oracle.
+dense sums are the test oracle.  No claim holds a whole set or grid that it
+only reads: the frequencies of a cubature claim and the values of an
+interpolant on its cell grid go through in blocks of ``lattice._PHASE_BLOCK``
+rows or phases, or in ``TrigPoly._cell_slabs``.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .indexsets import (
     stratum_counts,
 )
 from . import kernels
-from .interpolation import BUILDERS, _freq_cells, _node_cells
-from .lattice import _CHUNK_ELEMENTS, _expsum, _points
+from .interpolation import BUILDERS, _dual_cells, _freq_cells, _node_cells
+from .lattice import _PHASE_BLOCK, _box_slabs, _phases, _points, _spread
 from .symmetry import PERM_SIGNS, PERM_TABLE
 from .trigbasis import _compact_rows
 
@@ -77,18 +80,28 @@ def orthonormality(n: int) -> float:
 
 
 def dodeca_cubature(n: int) -> float:
-    """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*."""
-    big = generate_Hn_star(2 * n - 1)
-    vals = _rule("hstar", n)[_freq_cells(big, n)]
-    return _err(vals, np.all(big == 0, axis=1))
+    """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*.
+
+    H_{2n-1}* goes by in slabs of k'_1 planes of its reduced box: k' is in it
+    iff rho(k') = spread(k'_1, k'_2, k'_3, 0) <= 2n - 1 (as ``transforms._rho``),
+    and its dual cell is read off k' itself."""
+    rule, m, err = _rule("hstar", n), 2 * n - 1, 0.0
+    for kp in _box_slabs(-m, m, _PHASE_BLOCK):
+        kp = kp[_spread(kp, initial=0) <= m]
+        err = max(err, _err(rule[_dual_cells(kp, n)], np.all(kp == 0, axis=1)))
+    return err
 
 
 def tetra_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the tetrahedral rule on TC_k, the mean of
-    phi_{k sigma} over the 24 permutations sigma, for k in Lambda_{2n-1}."""
-    ks = lambda_nodes(2 * n - 1)
-    vals = _rule("lambda", n)[_freq_cells(ks[:, PERM_TABLE], n)]
-    return _err(vals.mean(axis=1), np.all(ks == 0, axis=1))
+    phi_{k sigma} over the 24 permutations sigma, for k in Lambda_{2n-1},
+    in blocks of at most 2^16 images."""
+    rule, ks, rows, err = _rule("lambda", n), lambda_nodes(2 * n - 1), _PHASE_BLOCK // 24, 0.0
+    for i in range(0, len(ks), rows):
+        k = ks[i : i + rows]
+        err = max(err, _err(rule[_freq_cells(k[:, PERM_TABLE], n)].mean(axis=1),
+                            np.all(k == 0, axis=1)))
+    return err
 
 
 def compact_kernels(n: int, t) -> dict:
@@ -111,18 +124,20 @@ _ORBIT_WEIGHTS = np.stack([np.ones(24), -PERM_SIGNS], axis=1) / 24.0
 def tetra_basis(n: int, t) -> dict:
     """Max |compact form - orbit sum| at the points t: "cosine" over TC_k for
     every tetrahedral index k of degree n, "sine" over TS_k for those with
-    four distinct entries (present from degree 3 on).  Per chunk of index
-    rows, one ``_compact_rows`` call per form and one block of the images
-    phi_{k sigma}(t) against ``_ORBIT_WEIGHTS``; a block holds at most 2^20
-    numbers."""
+    four distinct entries (present from degree 3 on).  Per block of index
+    rows, one ``_compact_rows`` call per form and the images phi_{k sigma}(t)
+    against ``_ORBIT_WEIGHTS``; the images of a block are written in place
+    into one reused buffer of at most max(2^16, 24 len(t)) numbers."""
     t = _points(t).reshape(-1, 4)
     ks = lambda_nodes(n)
-    rows = max(1, _CHUNK_ELEMENTS // (24 * max(1, len(t))))
+    rows = max(1, _PHASE_BLOCK // (24 * max(1, len(t))))
+    block = np.empty(len(t) * 24 * min(rows, len(ks)), dtype=complex)
     out = {"cosine": 0.0}
     for i in range(0, len(ks), rows):
         k = ks[i : i + rows]
-        want = (_expsum(k[:, PERM_TABLE].reshape(-1, 4), t).reshape(-1, 24)
-                @ _ORBIT_WEIGHTS).reshape(len(t), len(k), 2)
+        images = _phases(k[:, PERM_TABLE].reshape(-1, 4), t,
+                         block[: len(t) * 24 * len(k)].reshape(len(t), 24 * len(k)))
+        want = (images.reshape(-1, 24) @ _ORBIT_WEIGHTS).reshape(len(t), len(k), 2)
         out["cosine"] = max(out["cosine"], _err(_compact_rows(k, t, np.cos), want[..., 0]))
         distinct = np.all(k[:, 1:] < k[:, :-1], axis=1)
         if distinct.any():
@@ -141,5 +156,10 @@ def interpolation_condition(kind: str, n: int, f) -> float:
     if kind == "instar":
         cls = _node_cells(interp.nodes, n)
         want = np.bincount(cls, weights=want)[cls]
-    got = np.concatenate([*interp.poly._cell_slabs(q)]).ravel()
-    return _err(got[np.ravel_multi_index(interp.nodes[:, :3].T, (q,) * 3, mode="wrap")], want)
+    cell = np.ravel_multi_index(interp.nodes[:, :3].T, (q,) * 3, mode="wrap")
+    got, start = np.empty(len(cell), dtype=complex), 0
+    for slab in interp.poly._cell_slabs(q):
+        part = (cell >= start) & (cell < start + slab.size)
+        got[part] = slab.ravel()[cell[part] - start]
+        start += slab.size
+    return _err(got, want)

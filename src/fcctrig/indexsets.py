@@ -18,8 +18,9 @@ quadrature sum is actually formed.
 n -> (nodes, a, q).  ``hn`` is H_n with weight 1, ``hstar`` H_n* with
 c_j = (12 / class size) / 12, ``lambda`` the tetrahedral set with lambda_j
 and ``interior`` the strictly interior tetrahedral set with 24.  The inner
-products, cubature rules, claims and kernels read their weights there; a
-float weight is one division of those integers (``_rule_weights``).
+products, cubature rules, claims and kernel boxes read their weights there; a
+float weight is one division of those integers (``_rule_weights``).  The
+direct kernel sums, their oracle, form theirs from class sizes.
 
 The node and frequency sets and the weights in their order are pure
 functions of the degree, built once per degree: each keeps the last

@@ -429,9 +429,13 @@ def _node_cells(j: np.ndarray, n: int) -> np.ndarray:
 
 
 def _freq_cells(k: np.ndarray, n: int) -> np.ndarray:
-    """Flat dual cells (k'_1 + k'_2 + k'_3, k'_1, k'_2) of frequencies k (..., 4),
-    k' = to_reduced(k): phi_k(j / 4n) is the character of k's cell at j's cell."""
-    kp = to_reduced(k)
+    """Flat dual cells of frequencies k (..., 4): phi_k(j / 4n) is the character
+    of k's cell at j's cell."""
+    return _dual_cells(to_reduced(k), n)
+
+
+def _dual_cells(kp: np.ndarray, n: int) -> np.ndarray:
+    """Flat dual cells (k'_1 + k'_2 + k'_3, k'_1, k'_2) of reduced frequencies kp (..., 3)."""
     return np.ravel_multi_index((kp.sum(-1), kp[..., 0], kp[..., 1]), (4 * n, n, n), mode="wrap")
 
 

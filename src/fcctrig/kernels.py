@@ -2,12 +2,15 @@
 
 Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set, one ``lattice._expsum_rows``
-call in chunks of points whose phases hold at most 2^20 numbers.  The
-compact forms are oracles only: the ``kernel`` command, interpolation, the
-Lebesgue scans and Fourier coefficients work on coefficient boxes, FFTs of
-node or cell samples and the node group, and are tested against the compact
-and direct forms.  All kernels accept arrays of points of shape (..., 4) and
-broadcast; ``lattice._points`` rejects any other last axis.
+call that writes the phases of a block of points into one reused buffer of
+2^16 numbers.  ``phi_n_star_direct`` and ``phi_n_fund`` form their weights
+here, from class sizes, not from ``indexsets._RULES``, so a wrong rule weight
+cannot pass as its own oracle.  The compact forms are oracles only: the
+``kernel`` command, interpolation, the Lebesgue scans and Fourier
+coefficients work on coefficient boxes, FFTs of node or cell samples and the
+node group, and are tested against the compact and direct forms.  All
+kernels accept arrays of points of shape (..., 4) and broadcast;
+``lattice._points`` rejects any other last axis.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node
@@ -24,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .indexsets import _degree, _rule_weights, generate_Hn_star, strata
+from .indexsets import _degree, _star_sizes, generate_Hn, generate_Hn_star, strata
 from .lattice import _PAIRS, _expsum_rows, _points
 
 SING_TOL = 1e-8
@@ -78,7 +81,7 @@ def phi_n_fund(n: int, t) -> np.ndarray:
     Mean of the 4n^3 exponentials; there is no shorter closed form.  The
     ``in`` interpolant is tested against sums of this kernel.
     """
-    return _expsum_rows(*_rule_weights("hn", n), t)
+    return _expsum_rows(generate_Hn(n), 1 / (4 * n**3), t)
 
 
 def edge_sum(n: int, t) -> np.ndarray:
@@ -87,6 +90,7 @@ def edge_sum(n: int, t) -> np.ndarray:
     Equals sum of phi_k over the nodes with (|I|, |J|) in {(1,2), (2,1)}:
     2 * sum_nu sine_ratio(n-1, t_nu) * sum_{j != nu} cos(n*pi*(2 t_j + t_nu)).
     """
+    n = _degree(n)
     t = _points(t)
     total = 0.0
     for nu in range(4):
@@ -124,6 +128,6 @@ def phi_n_star(n: int, t) -> np.ndarray:
 
 def phi_n_star_direct(n: int, t) -> np.ndarray:
     """Oracle: weighted exponential sum over the star set, with the weights
-    of the ``hstar`` rule."""
-    return _expsum_rows(*_rule_weights("hstar", n), t)
+    1 / (4n^3 c_k) of the class sizes c_k of its rows."""
+    return _expsum_rows(generate_Hn_star(n), 1.0 / (4 * n**3 * _star_sizes(n)), t)
 

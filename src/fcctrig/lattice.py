@@ -28,9 +28,15 @@ the largest difference is max x - min x.  The domain tests, the node and
 frequency sets (s = 4n) and ``transforms._rho`` go through them, and
 ``boundary.boundary_slots`` reads the boundary off the same row extremes.
 
-``_CHUNK_ELEMENTS`` = 2^20 is the package's one cap on the elements of any
-array a chunk of points forms; ``_expsum_rows``, the direct weighted sum
-of exponentials behind the oracle kernels, works to it.
+``_CHUNK_ELEMENTS`` = 2^20 is the package's cap on the elements of any
+array a chunk of points forms.  Exponential sums stay far below it: the
+phases exp(i*pi/2 k.t) are written in place (``_phases``) into one block of
+``_PHASE_BLOCK`` = 2^16 complex numbers, allocated once per call and reused.
+``_expsum_rows``, the direct weighted sum behind the oracle kernels, and the
+orbit sums of ``claims.tetra_basis`` take their phases that way, since an
+exponential and a matrix-vector product gain nothing from bigger blocks.
+``_box_slabs`` hands out ``_box`` a few planes at a time, for a claim that
+only reads a set.
 """
 
 from __future__ import annotations
@@ -131,6 +137,16 @@ def _box(lo: int, hi: int) -> np.ndarray:
     return np.indices((hi - lo + 1,) * 3, dtype=np.int64).reshape(3, -1).T + lo
 
 
+def _box_slabs(lo: int, hi: int, rows: int):
+    """``_box(lo, hi)`` in order, as slabs of whole planes of the first
+    coordinate: max(1, rows // (hi - lo + 1)^2) planes each."""
+    side = hi - lo + 1
+    planes = max(1, rows // side**2)
+    for a in range(lo, hi + 1, planes):
+        m = min(planes, hi + 1 - a)
+        yield np.indices((m, side, side), dtype=np.int64).reshape(3, -1).T + (a, lo, lo)
+
+
 # the six pairs i < j of the four homogeneous slots, in lexicographic order
 _PAIRS = np.triu_indices(4, 1)
 
@@ -194,25 +210,38 @@ def fold_to_omega_H(t) -> np.ndarray:
     return homo_point(out[..., 0, :])
 
 
+def _phases(kk: np.ndarray, t: np.ndarray, out) -> np.ndarray:
+    """phi_k(t) for points t (..., 4) and frequency rows kk (K, 4) or one k, of
+    shape t.shape[:-1] + (K,) or t.shape[:-1]: written into out and returned,
+    or a new array when out is None."""
+    e = np.multiply(0.5j * np.pi, t @ kk.astype(float).T, out=out)
+    return np.exp(e, out=out)
+
+
 def _expsum(kk: np.ndarray, t) -> np.ndarray:
     """phi_k(t) for points t (rows) and frequencies kk (columns) or one k."""
-    return np.exp(0.5j * np.pi * (_points(t) @ kk.astype(float).T))
+    return _phases(kk, _points(t), None)
 
 
 # complex elements in any one array that a chunk of points forms
 _CHUNK_ELEMENTS = 2**20
 
+# complex phases in the one block an exponential sum reuses
+_PHASE_BLOCK = 2**16
+
 
 def _expsum_rows(kk: np.ndarray, w, t) -> np.ndarray:
     """sum_k w_k phi_k(t) over the frequency rows kk, with weights w (a scalar
-    or one per row), at the points t (..., 4); points go in chunks whose
-    phases hold at most 2^20 numbers."""
+    or one per row), at the points t (..., 4); the points go through one
+    block of at most max(2^16, len(kk)) phases, written in place."""
     t = _points(t)
     flat, w = t.reshape(-1, 4), np.broadcast_to(w, len(kk)).astype(complex)
-    step = max(1, _CHUNK_ELEMENTS // max(1, len(kk)))
+    step = max(1, _PHASE_BLOCK // max(1, len(kk)))
+    block = np.empty((min(step, len(flat)), len(kk)), dtype=complex)
     out = np.empty(len(flat), dtype=complex)
     for i in range(0, len(flat), step):
-        out[i : i + step] = _expsum(kk, flat[i : i + step]) @ w
+        p = flat[i : i + step]
+        np.matmul(_phases(kk, p, block[: len(p)]), w, out=out[i : i + step])
     return out.reshape(t.shape[:-1])
 
 

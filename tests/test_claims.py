@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from fcctrig import claims, indexsets, trigbasis
+from fcctrig import claims, indexsets, interpolation, trigbasis
 from fcctrig.indexsets import (
     _star_sizes,
     generate_Hn,
@@ -18,7 +18,7 @@ from fcctrig.indexsets import (
     lambda_weights,
 )
 from fcctrig.interpolation import _freq_cells, _node_cells
-from fcctrig.lattice import _expsum
+from fcctrig.lattice import _expsum, _phases
 from fcctrig.symmetry import PERM_TABLE
 from fcctrig.trigbasis import tc, tc_direct, ts, ts_direct
 
@@ -125,6 +125,50 @@ def test_claim_memory_is_bounded(claim, monkeypatch):
     assert peak <= 64 * 2**20, peak
 
 
+def prebuilt(n):
+    """Build the node and frequency sets and weights of degree n (and the
+    tetrahedral set of 2n - 1), as verify finds them by the time it checks
+    its claims."""
+    for name in ("generate_Hn", "generate_Hn_star", "_star_keys", "_star_sizes",
+                 "lambda_nodes", "lambda_weights", "lambda_circ_nodes"):
+        getattr(indexsets, name)(n)
+    lambda_nodes(2 * n - 1)
+    for kind in ("in", "instar", "lnstar", "ln"):
+        interpolation.node_set(kind, n)
+
+
+def cos_probe(t):
+    return np.cos(2.0 * np.pi * (t[..., 0] - t[..., 2]))
+
+
+# the claims at verify's degree 32 and their bounds in MiB, sets prebuilt:
+# they traced 188 (H_63* built inside), 77 and 68-71 MiB before they took
+# their sets in blocks and their cell grids in slabs, and now 6.1, 6.6 and
+# 45-51 MiB; the interpolant's own build is most of the last
+CLAIMS_AT_32 = {
+    "dodeca_cubature": (lambda: claims.dodeca_cubature(32), 16),
+    "tetra_cubature": (lambda: claims.tetra_cubature(32), 16),
+    **{f"interpolation_condition {kind}": (
+        lambda kind=kind: claims.interpolation_condition(kind, 32, cos_probe), 60)
+       for kind in ("in", "instar", "lnstar", "ln")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLAIMS_AT_32))
+def test_claim_memory_at_degree_32_is_bounded(case, monkeypatch):
+    monkeypatch.setenv("FCC_TRIG_THREADS", "1")
+    call, mib = CLAIMS_AT_32[case]
+    prebuilt(32)
+    tracemalloc.start()
+    try:
+        err = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-9
+    assert peak <= mib * 2**20, peak
+
+
 def probe_points(m=50):
     """The seeded zero-sum points of ``fcc-trig verify``."""
     t = np.random.default_rng(20240901).uniform(-1.0, 1.0, size=(m, 4))
@@ -174,15 +218,18 @@ def test_tetra_basis_fails_when_a_pairing_turns(monkeypatch):
     assert claims.tetra_basis(4, t)["sine"] > 1e-9
 
 
-def test_tetra_basis_takes_chunks_of_at_most_2_20_images(monkeypatch):
-    calls, rows = [], claims._compact_rows
+def test_tetra_basis_takes_blocks_of_at_most_2_16_images(monkeypatch):
+    calls, rows, blocks = [], claims._compact_rows, []
     monkeypatch.setattr(claims, "_compact_rows",
                         lambda k, t, g: calls.append((len(k), g)) or rows(k, t, g))
+    monkeypatch.setattr(claims, "_phases",
+                        lambda kk, t, out: blocks.append(out) or _phases(kk, t, out))
     claims.tetra_basis(16, probe_points())
     chunks = [m for m, g in calls if g is np.cos]
-    assert len(chunks) >= 2
+    assert len(chunks) == len(blocks) == -(-comb(16 + 3, 3) // 54)
     assert sum(chunks) == comb(16 + 3, 3)
-    assert max(chunks) * 24 * 50 <= 2**20
+    assert max(chunks) * 24 * 50 == max(b.size for b in blocks) <= 2**16
+    assert all(b.base is blocks[0].base for b in blocks)
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), (0, 4)])
@@ -197,8 +244,9 @@ def test_tetra_basis_takes_any_batch_of_points(shape):
 
 
 def test_tetra_basis_memory_is_bounded(monkeypatch):
-    # the phase block of one chunk holds at most 2^20 complex numbers (16 MiB);
-    # one unchunked block of the 6,545 x 24 x 50 images would be 120 MiB
+    # the images go through one block of at most 2^16 complex numbers (1 MiB);
+    # one unchunked block of the 6,545 x 24 x 50 images would be 120 MiB, and
+    # chunks of 2^20 images peaked at 34.5 MiB; now 1.8 MiB
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
     t = probe_points()
     tracemalloc.start()
@@ -208,4 +256,4 @@ def test_tetra_basis_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(errs.values()) < 1e-9
-    assert peak < 48 * 2**20, peak
+    assert peak < 4 * 2**20, peak

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fcctrig import claims
+from fcctrig import claims, indexsets, interpolation
 from fcctrig.indexsets import _star_sizes, generate_Hn, generate_Hn_star, strata
 from fcctrig.lattice import _expsum
 from fcctrig.transforms import unit_cell_points
@@ -99,12 +99,22 @@ def test_dirichlet_zero_degree():
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_phi_star_rejects_degree_below_one(n):
-    # as phi_n_fund does; n = 0 used to give NaN from the 1/4n^3 factor
+    # as phi_n_fund does; n = 0 used to give NaN from the 1/4n^3 factor, and
+    # edge_sum(0, 0) gave -24 where edge_sum_direct raised
     t = np.zeros((2, 4))
-    with pytest.raises(ValueError, match="degree must be >= 1"):
-        phi_n_star(n, t)
-    with pytest.raises(ValueError, match="degree must be >= 1"):
-        phi_n_fund(n, t)
+    for kernel in (phi_n_star, phi_n_fund, phi_n_star_direct, edge_sum, edge_sum_direct):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            kernel(n, t)
+
+
+@pytest.mark.parametrize("kernel", [phi_n_star, phi_n_fund, phi_n_star_direct, edge_sum,
+                                    edge_sum_direct], ids=lambda fn: fn.__name__)
+def test_kernels_take_integer_degrees_only(kernel):
+    # edge_sum(2.5, 0) used to give 36
+    t = rand_t(np.random.default_rng(18), 5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        kernel(2.5, t)
+    assert np.array_equal(kernel(np.int64(3), t), kernel(3, t))
 
 
 def test_theta_zero_degree_vanishes():
@@ -217,22 +227,44 @@ def traced_peak(call):
 
 
 # the direct sums at the sizes the dodecahedral benchmark and ``verify --n 32``
-# ask for; unchunked they peaked near 186, 156 and 211 MiB
+# ask for, with their bounds in MiB; unchunked they peaked near 186, 156 and
+# 211 MiB, in chunks of 2^20 phases near 32 MiB each, and through one reused
+# block of 2^16 phases near 1.7, 2.3 and 9.4 MiB (the last is compact_kernels'
+# own compact forms at 50 points)
 DIRECT_SUMS = {
     "phi_n_star_direct(8), 2,465 points": (
-        lambda: phi_n_star_direct(8, generate_Hn_star(8) / 32.0), (8,)),
+        lambda: phi_n_star_direct(8, generate_Hn_star(8) / 32.0), (8,), 4),
     "dirichlet_direct(4), 13,824 points": (
-        lambda: dirichlet_direct(4, unit_cell_points(24)), (4,)),
+        lambda: dirichlet_direct(4, unit_cell_points(24)), (4,), 4),
     "compact_kernels(32), 50 points": (
-        lambda: claims.compact_kernels(32, rand_t(np.random.default_rng(61), 50)), (32,)),
+        lambda: claims.compact_kernels(32, rand_t(np.random.default_rng(61), 50)), (32,), 16),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIRECT_SUMS))
 def test_direct_sum_memory_is_bounded(case, monkeypatch):
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
-    call, degrees = DIRECT_SUMS[case]
+    call, degrees, mib = DIRECT_SUMS[case]
     for n in degrees:  # the sets are built, as the benchmark and verify find them
         generate_Hn(n), generate_Hn_star(n), _star_sizes(n)
     peak = traced_peak(call)
-    assert peak <= 48 * 2**20, peak
+    assert peak <= mib * 2**20, peak
+
+
+# per rule of indexsets._RULES, the direct kernel that is its oracle and the
+# interpolant built on it
+ORACLES = {"hstar": (phi_n_star_direct, "interp_In_star"), "hn": (phi_n_fund, "interp_In")}
+
+
+@pytest.mark.parametrize("rule", sorted(ORACLES))
+def test_direct_kernels_do_not_read_the_rule_table(rule, monkeypatch):
+    # a wrong denominator q = 11 moves the interpolant, not its oracle
+    kernel, builder = ORACLES[rule]
+    n, t = 3, rand_t(np.random.default_rng(62), 20)
+    f = lambda s: np.cos(2.0 * np.pi * s[..., 0])  # noqa: E731
+    build = getattr(interpolation, builder)
+    want, interp = kernel(n, t), build(f, n)(t)
+    nodes, a, _ = indexsets._RULES[rule](n)
+    monkeypatch.setitem(indexsets._RULES, rule, lambda m: (nodes, a, 11))
+    assert np.array_equal(kernel(n, t), want)
+    assert np.abs(build(f, n)(t) - interp).max() > 1e-3

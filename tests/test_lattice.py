@@ -9,8 +9,11 @@ from fcctrig.lattice import (
     A_MATRIX,
     H_MATRIX,
     U_MATRIX,
+    _box,
+    _box_slabs,
     _expsum,
     _expsum_rows,
+    _phases,
     fold_to_omega_H,
     from_homogeneous,
     hindex,
@@ -198,32 +201,54 @@ def test_hindex_accepts():
     assert np.array_equal(hindex(np.array([3, -1, -1, -1])), [3, -1, -1, -1])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 100, 2**20])
+@pytest.mark.parametrize("chunk", [1, 7, 100, 200, 2**16, 2**20])
 @pytest.mark.parametrize("shape", [(4,), (0, 4), (5, 4), (2, 3, 4)])
 def test_expsum_rows_is_the_dense_weighted_sum_in_any_chunks(chunk, shape, monkeypatch):
-    # chunks change only BLAS's blocking, by about 1e-17 relative
+    # blocks change only BLAS's blocking, by about 1e-17 relative; H_2* has
+    # 65 rows, so a block of 200 phases holds 3 points and 2^16 all of them
     rng = np.random.default_rng(7)
     t = rng.uniform(-1.0, 1.0, size=shape)
     t -= t.mean(axis=-1, keepdims=True)
     kk = generate_Hn_star(2)
     w = rng.standard_normal(len(kk))
     want = (_expsum(kk, t) * w).sum(axis=-1)
-    monkeypatch.setattr(fcctrig.lattice, "_CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(fcctrig.lattice, "_PHASE_BLOCK", chunk)
     got = _expsum_rows(kk, w, t)
     assert got.shape == shape[:-1]
     assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(w).sum()
     assert np.array_equal(_expsum_rows(kk, 1.0, t), _expsum_rows(kk, np.ones(len(kk)), t))
 
 
-def test_expsum_rows_chunks_hold_at_most_2_20_phases(monkeypatch):
-    calls = []
+def test_expsum_rows_reuses_one_block_of_at_most_2_16_phases(monkeypatch):
+    blocks = []
 
-    def spy(kk, t):
-        calls.append(len(t) * len(kk))
-        return _expsum(kk, t)
+    def spy(kk, t, out):
+        blocks.append(out)
+        return _phases(kk, t, out)
 
-    monkeypatch.setattr(fcctrig.lattice, "_expsum", spy)
-    kk = generate_Hn_star(8)  # 2,465 rows
+    monkeypatch.setattr(fcctrig.lattice, "_phases", spy)
+    kk = generate_Hn_star(8)  # 2,465 rows: 26 points a block
     t = np.zeros((1000, 4))
-    _expsum_rows(kk, 1.0, t)
-    assert len(calls) == 3 and max(calls) <= 2**20
+    assert np.allclose(_expsum_rows(kk, 1.0, t), len(kk))
+    assert len(blocks) == -(-1000 // 26)
+    assert max(b.size for b in blocks) == 26 * 2465 <= 2**16
+    assert all(b.base is blocks[0].base for b in blocks)
+
+
+def test_phases_write_the_exponentials_in_place():
+    rng = np.random.default_rng(8)
+    kk, t = generate_Hn_star(2), rand_t(rng, 9)
+    out = np.empty((9, len(kk)), dtype=complex)
+    assert _phases(kk, t, out) is out
+    assert np.array_equal(out, np.exp(0.5j * np.pi * (t @ kk.T.astype(float))))
+    assert np.array_equal(_expsum(kk, t), out)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-2, 3), (-5, 5)])
+@pytest.mark.parametrize("rows", [1, 36, 100, 10**6])
+def test_box_slabs_are_the_box_in_whole_planes(lo, hi, rows):
+    side = hi - lo + 1
+    slabs = list(_box_slabs(lo, hi, rows))
+    assert np.array_equal(np.concatenate(slabs), _box(lo, hi))
+    assert all(len(s) % side**2 == 0 for s in slabs)
+    assert max(len(s) for s in slabs) == max(1, min(side, rows // side**2)) * side**2
