@@ -18,15 +18,16 @@ quadrature sum is actually formed.
 n -> (nodes, a, q).  ``hn`` is H_n with weight 1, ``hstar`` H_n* with
 c_j = (12 / class size) / 12, ``lambda`` the tetrahedral set with lambda_j
 and ``interior`` the strictly interior tetrahedral set with 24.  The inner
-products, cubature rules, claims and kernel boxes read their weights there; a
-float weight is one division of those integers (``_rule_weights``).  The
-direct kernel sums, their oracle, form theirs from class sizes.
+products, cubature rules and claims read their weights there; interpolants,
+Lebesgue scans and kernel boxes read those of ``hn``, ``hstar`` and ``hcirc``
+(H_n circ, a = 24) as floats a_k / (q 4n^3) at k' + n of a (2n+1)^3 box,
+``_weight_box(rule, n)``.  The direct kernel sums, their oracle, form theirs
+from class sizes.
 
-The node and frequency sets and the weights in their order are pure
-functions of the degree, built once per degree: each keeps the last
-_CACHED_DEGREES = 8 degrees asked for (least recently used out) and hands
-every caller the same read-only array; a caller that needs to write takes
-a ``.copy()``.
+The sets, weights and weight boxes are pure functions of the degree (and
+rule), built once: each keeps the last _CACHED_DEGREES = 8 keys asked for
+(least recently used out) and hands every caller the same read-only array;
+a caller that needs to write takes a ``.copy()``.
 """
 
 from __future__ import annotations
@@ -53,21 +54,21 @@ _CACHED_DEGREES = 8
 
 
 def _per_degree(fn):
-    """fn(n), computed once per degree and returned read-only.
+    """fn(*key, n), computed once per key and degree and returned read-only.
 
     n goes through _degree first, so 3 and np.int64(3) share one entry and
     a bad degree raises on every call without being cached.
     """
 
     @functools.lru_cache(maxsize=_CACHED_DEGREES)
-    def cached(n: int) -> np.ndarray:
-        out = fn(n)
+    def cached(*key_n) -> np.ndarray:
+        out = fn(*key_n)
         out.flags.writeable = False
         return out
 
     @functools.wraps(fn)
-    def per_degree(n):
-        return cached(_degree(n))
+    def per_degree(*key_n):
+        return cached(*key_n[:-1], _degree(key_n[-1]))
 
     per_degree.cache_info = cached.cache_info
     return per_degree
@@ -255,8 +256,18 @@ _RULES = {
 }
 
 
-def _rule_weights(rule: str, n: int) -> tuple:
-    """The nodes of a rule and their weights a_j / (q 4n^3) as floats (a
-    scalar when a is): each one correctly rounded division of integers."""
-    nodes, a, q = _RULES[rule](n)
-    return nodes, a / (q * 4 * n**3)
+@_per_degree
+def _weight_box(rule: str, n: int) -> np.ndarray:
+    """Float weights a_k / (q 4n^3) at box[to_reduced(k) + n], 0 off the set:
+    H_n with a = q = 1 (``hn``), H_n* with a = 12 // class size and q = 12
+    (``hstar``) or H_n circ with a = 24, q = 1 (``hcirc``)."""
+    kk, box = _from_reduced(_box(-n, n)), np.zeros((2 * n + 1) ** 3)
+    if rule == "hn":
+        box[_half_open(kk, 4 * n)] = 1 / (4 * n**3)
+    else:  # H_n circ, spread < 4n, has one-member classes; H_n* adds spread 4n
+        spread = _spread(kk)
+        box[spread < 4 * n] = (1 if rule == "hstar" else 24) / (4 * n**3)
+        if rule == "hstar":
+            edge = spread == 4 * n
+            box[edge] = 12 // class_sizes(kk[edge], n) / (12 * 4 * n**3)
+    return box.reshape((2 * n + 1,) * 3)

@@ -16,9 +16,9 @@ kind        nodes j               K         w_k       s_sigma       a_j
 ``lnstar``  tetrahedral           H_n*      c_k/4n^3  24, unsigned  lambda_j
 ==========  ====================  ========  ========  ============  ========
 
-with c_k = 1/(class size of k).  The w_k of ``in``, ``instar`` and
-``lnstar`` are the weights of the rules ``hn`` and ``hstar`` of
-``indexsets._RULES``; the 6/n^3 of ``ln`` is not a node rule's.  So
+with c_k = 1/(class size of k).  K and its w_k are one (2n+1)^3 box of
+``indexsets._weight_box``, w_k at k' + n and 0 off K: the rule ``hn`` for
+``in``, ``hstar`` for ``instar`` and ``lnstar``, ``hcirc`` for ``ln``.  So
 ``in`` and ``instar`` use Phi_n and Phi_n*, ``lnstar`` is
 lambda_j P+ Phi_n*, and ``ln`` is (6/n^3) P- of the
 theta difference theta_n - theta_{n-1}, the Dirichlet kernel of
@@ -37,10 +37,10 @@ coefficients.  ``Interpolant.poly`` adds a_j f_j at j[:3] mod 4n and
 takes the 3-D FFT F of that only where it is read: one axis at a time,
 last axis first as fftn does, on the lines that hold a node, each pass
 keeping the residues of [-n, n], so F lands on the (2n+1)^3 box without a
-(4n)^3 cube.  It sets c_k = w_k mean_sigma s_sigma F[(k sigma)'], and the
-box position of (k sigma)' is linear in k', so all images are one gather,
-in blocks of 2^12 entries, added image by image in PERM_TABLE order: the
-bits of fftn and of one gather per image.
+(4n)^3 cube.  It sets c_k = w_k mean_sigma s_sigma F[(k sigma)'] on the
+weight box, and the box position of (k sigma)' is linear in k', so all
+images are one gather, in blocks of 2^12 entries, added image by image in
+PERM_TABLE order: the bits of fftn and of one gather per image.
 ``lebesgue_interp`` needs each |ell_j|, so it needs the kernel
 sum_k w_k phi_k(p - y) at every node image y, per grid point p.  The
 images fill the node group Z_4n x Z_n x Z_n, 4n^3 cells or 1/16 of the
@@ -76,9 +76,8 @@ import numpy as np
 from ._parallel import map_chunks
 from .indexsets import (
     _RULES,
-    _rule_weights,
+    _weight_box,
     generate_Hn,
-    generate_Hn_circ,
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
@@ -183,24 +182,20 @@ def dodeca_grid(grid_per_axis: int) -> np.ndarray:
 # the four kinds, one table row each
 
 
-# One row of the module docstring's table: node set of n, frequency set K of
-# n, weights w_k of n (a scalar or one per row of K), signs s_sigma of the
-# first len(signs) rows of PERM_TABLE (identity first), node factors a_j of
-# n (a scalar or one per node), the evaluation grid, and s4: whether K and
-# its weights are closed under S4 and under k -> -k (all but the half-open
-# H_n), so that the Lebesgue function is S4-invariant and the kernel real.
-_Kind = namedtuple("_Kind", "nodes freqs weights signs factor grid s4")
+# One row of the module docstring's table: node set of n, the weight box
+# rule of K and w_k, signs s_sigma of the first len(signs) rows of PERM_TABLE
+# (identity first), node factors a_j of n (a scalar or one per node), the
+# evaluation grid, and s4: whether K and w_k are closed under S4 and k -> -k
+# (all but the half-open H_n), so the Lebesgue function is S4-invariant and
+# the kernel real.
+_Kind = namedtuple("_Kind", "nodes rule signs factor grid s4")
 
 
 _KINDS = {
-    "in": _Kind(generate_Hn, generate_Hn, lambda n: _rule_weights("hn", n)[1],
-                np.ones(1), lambda n: 1.0, dodeca_grid, False),
-    "instar": _Kind(generate_Hn_star, generate_Hn_star, lambda n: _rule_weights("hstar", n)[1],
-                    np.ones(1), lambda n: 1.0, dodeca_grid, True),
-    "ln": _Kind(lambda_circ_nodes, generate_Hn_circ, lambda n: 6.0 / n**3,
-                PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
-    "lnstar": _Kind(lambda_nodes, generate_Hn_star, lambda n: _rule_weights("hstar", n)[1],
-                    np.ones(24), lambda_weights, tetra_grid, True),
+    "in": _Kind(generate_Hn, "hn", np.ones(1), lambda n: 1.0, dodeca_grid, False),
+    "instar": _Kind(generate_Hn_star, "hstar", np.ones(1), lambda n: 1.0, dodeca_grid, True),
+    "ln": _Kind(lambda_circ_nodes, "hcirc", PERM_SIGNS, lambda n: 1.0, tetra_grid, True),
+    "lnstar": _Kind(lambda_nodes, "hstar", np.ones(24), lambda_weights, tetra_grid, True),
 }
 KINDS = tuple(_KINDS)
 
@@ -247,7 +242,7 @@ class Interpolant:
     def poly(self) -> TrigPoly:
         """The interpolant as its (2n+1)^3 coefficient box (module docstring)."""
         spec, n, d = _KINDS[self.kind], self.n, 2 * self.n + 1
-        box = _node_fft(self.nodes[:, :3], self.values * spec.factor(n), n)
+        F = _node_fft(self.nodes[:, :3], self.values * spec.factor(n), n)
         # phi_k(j sigma) = phi_{k sigma^-1}(j), and sigma -> sigma^-1 maps the
         # summed images onto themselves and keeps s_sigma.  (k sigma)'_i =
         # k'_{sigma(i)} - k'_{sigma(4)} with k'_4 = 0, so the box position of
@@ -257,8 +252,8 @@ class Interpolant:
         perms, strides = PERM_TABLE[: len(spec.signs)], d ** np.arange(2, -1, -1)
         image_strides = np.zeros((len(perms), 4), dtype=np.int64)
         image_strides[np.arange(len(perms))[:, None], perms] = [*strides, -strides.sum()]
-        kk = spec.freqs(n)
-        kp, w = to_reduced(kk), np.broadcast_to(spec.weights(n), len(kk))
+        wbox = _weight_box(spec.rule, n)
+        kp, w = np.argwhere(wbox) - n, wbox[wbox != 0]
         c = np.zeros(d**3, dtype=complex)
         # blocks of 2^12 image entries (96 KiB of positions and terms) stay in
         # cache; blocks of 2^20 were no faster and doubled the traced peak
@@ -267,7 +262,7 @@ class Interpolant:
         for i in range(0, len(kp), step):
             at = image_strides[:, :3] @ kp[i : i + step].T
             at += n * strides.sum()
-            terms = box[at]
+            terms = F[at]
             terms *= spec.signs[:, None]
             # added image by image from 0, as sum() adds them: as floats the
             # summed axis is never numpy's inner one, which it adds pairwise
@@ -451,9 +446,10 @@ def _lebesgue_plan(kind: str, n: int) -> _Plan:
     """The scan's plan for ``kind`` at degree n."""
     nodes, spec = node_set(kind, n), _KINDS[kind]
     cells, d = (2 * n + 1 if spec.s4 else 4 * n) * n * n, 2 * n + 1
-    kk = spec.freqs(n)
-    kp, cls = to_reduced(kk), _freq_cells(kk, n)
-    wvals, widx = np.unique(np.broadcast_to(spec.weights(n), len(kk)), return_inverse=True)
+    wbox = _weight_box(spec.rule, n)
+    kp = np.argwhere(wbox) - n
+    cls = _dual_cells(kp, n)
+    wvals, widx = np.unique(wbox[wbox != 0], return_inverse=True)
     # per frequency: its row of the (k'_1, k'_2) exps and of the weighted
     # k'_3 exps; row d * d of the former is zero
     src = np.stack([(kp[:, 0] + n) * d + kp[:, 1] + n, widx * d + kp[:, 2] + n])
@@ -488,7 +484,7 @@ def _lebesgue_function(n: int, kind: str, pts: np.ndarray) -> np.ndarray:
     the node images y = j sigma / 4n, which fill the node group of
     ``_node_cells``.  Per point the phases w_k exp(2 pi i k'.p) (products of
     per-axis exps over [-n, n]) are added into the cell of k
-    (``_freq_cells``), where boundary frequencies of H_n* alias, and one
+    (``_dual_cells``), where boundary frequencies of H_n* alias, and one
     transform of size 4n x n x n gives K(p - y) on the whole group: the
     complex FFT for ``in``, and for the real kernels, whose phases are
     Hermitian on the group, the real inverse FFT of the conjugated phases

@@ -4,13 +4,14 @@ Every kernel with a closed form also has a ``*_direct`` companion that sums
 exponentials over the defining index set, one ``lattice._expsum_rows``
 call that writes the phases of a block of points into one reused buffer of
 2^16 numbers.  ``phi_n_star_direct`` and ``phi_n_fund`` form their weights
-here, from class sizes, not from ``indexsets._RULES``, so a wrong rule weight
+here, from class sizes, not from ``indexsets._weight_box``, so a wrong weight
 cannot pass as its own oracle.  The compact forms are oracles only: the
 ``kernel`` command, interpolation, the Lebesgue scans and Fourier
 coefficients work on coefficient boxes, FFTs of node or cell samples and the
 node group, and are tested against the compact and direct forms.  All
 kernels accept arrays of points of shape (..., 4) and broadcast;
-``lattice._points`` rejects any other last axis.
+``lattice._points`` rejects any other last axis.  Degrees are integers n >= 1,
+or n >= 0 for ``K_n``, ``theta_n``, ``dirichlet`` and ``dirichlet_product``.
 
 Singularity policy: the compact forms are built from ratios
 sin(m*pi*x)/sin(pi*x) whose denominators vanish at integer x, which node
@@ -22,8 +23,6 @@ where the naive form does.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -48,14 +47,13 @@ def sine_ratio(m: int, x) -> np.ndarray:
 
 def K_n(n: int, t) -> np.ndarray:
     """Geometric kernel sum_{j=0}^{n} exp(2*pi*i*j*t) in product form, integer n."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(1j * np.pi * n * t) * sine_ratio(operator.index(n) + 1, t)
+    n, t = _degree(n, 0), np.asarray(t, dtype=float)
+    return np.exp(1j * np.pi * n * t) * sine_ratio(n + 1, t)
 
 
 def theta_n(n: int, t) -> np.ndarray:
     """Product of the four coordinate sine ratios, integer n; theta_0 vanishes."""
-    t = _points(t)
-    return np.prod(sine_ratio(operator.index(n), t), axis=-1)
+    return np.prod(sine_ratio(_degree(n, 0), _points(t)), axis=-1)
 
 
 def dirichlet(n: int, t) -> np.ndarray:

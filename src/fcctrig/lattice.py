@@ -124,11 +124,11 @@ def from_homogeneous(t) -> np.ndarray:
     return t @ U_MATRIX
 
 
-def _degree(n) -> int:
-    """n as an int (NumPy integers too); TypeError for a non-integer, ValueError below 1."""
+def _degree(n, least: int = 1) -> int:
+    """n as an int (NumPy integers too); TypeError for a non-integer, ValueError below least."""
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
+    if n < least:
+        raise ValueError(f"degree must be >= {least}")
     return n
 
 

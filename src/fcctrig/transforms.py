@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexsets import _RULES, _degree, _rule_weights, generate_Hn_star, to_reduced
+from .indexsets import _RULES, _degree, _weight_box, to_reduced
 from .lattice import _CHUNK_ELEMENTS, A_MATRIX, _box, _points, _spread, to_homogeneous
 
 
@@ -163,13 +163,6 @@ class TrigPoly:
         object.__setattr__(poly, "box", box)
         return poly
 
-    @classmethod
-    def _place(cls, kk: np.ndarray, c, n: int) -> TrigPoly:
-        """Degree n, coefficients c at the rows kk of H_n* and 0 elsewhere."""
-        box = np.zeros((2 * n + 1,) * 3, dtype=complex)
-        box[tuple((to_reduced(kk) + n).T)] = c
-        return cls._own(box)
-
     @property
     def degree(self) -> int:
         return len(self.box) // 2
@@ -211,15 +204,16 @@ class TrigPoly:
 def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     """Degree-n Fourier partial sum of f on the star frequency set.
 
-    One FFT of f on the q^3 grid (t[:3] = u / q), read at to_reduced(k) mod
-    q; frequencies congruent mod q alias when q < 2n + 1.  f is sampled
-    with ``_sample``, as the interpolant builders sample it.
+    One FFT of f on the q^3 grid (t[:3] = u / q), read at k' mod q where
+    rho(k') <= n; frequencies congruent mod q alias when q < 2n + 1.  f is
+    sampled with ``_sample``, as the interpolant builders sample it.
     """
-    kk = generate_Hn_star(n)
+    n = _degree(n)
     q = 4 * n + 4 if quad_order is None else quad_order
     pts = unit_cell_points(q)
     fv = _sample(f, pts, f"the {q}^3 cell grid", pts, "value of f").reshape(q, q, q)
-    return TrigPoly._place(kk, np.fft.fftn(fv)[tuple((to_reduced(kk) % q).T)] / q**3, n)
+    k = np.arange(-n, n + 1) % q
+    return TrigPoly._own(np.where(_rho(n) <= n, np.fft.fftn(fv)[np.ix_(k, k, k)] / q**3, 0))
 
 
 def _rho(n: int) -> np.ndarray:
@@ -230,12 +224,13 @@ def _rho(n: int) -> np.ndarray:
     return _spread(_box(-n, n), initial=0).reshape((2 * n + 1,) * 3)
 
 
-# the coefficient box of every compact kernel, by its ``fcc-trig kernel --f`` name
+# the coefficient box of every compact kernel, by its ``fcc-trig kernel --f``
+# name: theta and D_n off rho(k'), Phi_n* and Phi_n the weight boxes themselves
 _KERNEL_BOXES = {
     "theta": lambda n: TrigPoly._own(np.maximum(n - _rho(_degree(n) - 1), 0).astype(complex)),
     "dirichlet": lambda n: TrigPoly._own((_rho(_degree(n)) <= n).astype(complex)),
-    "phistar": lambda n: TrigPoly._place(*_rule_weights("hstar", n), n),
-    "phin": lambda n: TrigPoly._place(*_rule_weights("hn", n), n),
+    "phistar": lambda n: TrigPoly._own(_weight_box("hstar", n).astype(complex)),
+    "phin": lambda n: TrigPoly._own(_weight_box("hn", n).astype(complex)),
 }
 
 

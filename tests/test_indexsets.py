@@ -8,8 +8,8 @@ import pytest
 
 from fcctrig.indexsets import (
     _RULES,
-    _rule_weights,
     _star_sizes,
+    _weight_box,
     class_sizes,
     generate_Hn,
     generate_Hn_circ,
@@ -382,13 +382,20 @@ def test_hstar_weights_are_the_class_weights_bit_for_bit(n):
     nodes, a, q = _RULES["hstar"](n)
     assert q == 12 and np.array_equal(a * _star_sizes(n), np.full(len(nodes), 12))
     assert (a / q).tobytes() == (1.0 / _star_sizes(n)).tobytes()
-    got = _rule_weights("hstar", n)[1]
+    # the weight box, read at the rows, holds the class weights, and nothing else
+    box = _weight_box("hstar", n)
+    got = box[tuple((to_reduced(nodes) + n).T)]
     assert got.tobytes() == (1.0 / (4 * n**3 * _star_sizes(n))).tobytes()
+    assert np.count_nonzero(box) == len(nodes)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_rule_weights_of_the_other_rules_are_the_old_floats(n):
-    assert _rule_weights("hn", n)[1] == 1.0 / (4 * n**3)
-    assert _rule_weights("interior", n)[1] == 6.0 / n**3
-    got = _rule_weights("lambda", n)[1]
-    assert got.tobytes() == (lambda_weights(n) / (4.0 * n**3)).tobytes()
+    # the weight boxes of H_n and H_n circ hold 1/4n^3 and 6/n^3 at their
+    # rows, and nothing else
+    for rule, rows, w in (("hn", generate_Hn(n), 1.0 / (4 * n**3)),
+                          ("hcirc", generate_Hn_circ(n), 6.0 / n**3)):
+        box = _weight_box(rule, n)
+        assert box.shape == (2 * n + 1,) * 3
+        assert np.all(box[tuple((to_reduced(rows) + n).T)] == w)
+        assert np.count_nonzero(box) == len(rows)

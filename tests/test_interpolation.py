@@ -7,7 +7,9 @@ import pytest
 
 from fcctrig.boundary import congruent_orbit_index
 from fcctrig.indexsets import (
+    _star_sizes,
     generate_Hn,
+    generate_Hn_circ,
     generate_Hn_star,
     lambda_circ_nodes,
     lambda_nodes,
@@ -18,6 +20,7 @@ from fcctrig.interpolation import (
     BUILDERS,
     KINDS,
     Interpolant,
+    _lebesgue_plan,
     dodeca_grid,
     ell_circ,
     ell_circ_ts_sum,
@@ -35,7 +38,7 @@ from fcctrig.interpolation import (
 from fcctrig.kernels import K_n, dirichlet, dirichlet_product, phi_n_fund, phi_n_star, theta_n
 from fcctrig.lattice import in_omega_H, phi
 from fcctrig.symmetry import PERM_SIGNS, PERM_TABLE, project_minus
-from fcctrig.transforms import fourier_coeffs
+from fcctrig.transforms import _KERNEL_BOXES, fourier_coeffs
 from fcctrig.trigbasis import tc, ts
 
 
@@ -741,3 +744,21 @@ def test_lebesgue_estimates_exceed_one_on_node_hitting_grids():
     assert lebesgue_interp(2, "in", grid_per_axis=7) >= 1.0 - 1e-9
     assert lebesgue_interp(2, "instar", grid_per_axis=7) > 1.0
     assert lebesgue_interp(3, "ln", grid_per_axis=5) == 0.0
+
+
+def test_frequency_side_builds_no_index_set():
+    # the interpolants, the Lebesgue plans, the kernel boxes and the Fourier
+    # sums read their frequencies and weights off one weight box; every call
+    # of a per-degree set or of _star_sizes, memo hit or not, counts in its
+    # cache_info, however the caller holds it
+    spied = (generate_Hn, generate_Hn_star, generate_Hn_circ, _star_sizes)
+    interps = (interp_Ln_star(smooth_probe, 32), interp_Ln(smooth_probe, 32))
+    before = [f.cache_info() for f in spied]
+    for interp in interps:
+        interp.poly
+    for kind in ("lnstar", "ln"):
+        _lebesgue_plan(kind, 32)
+    for name in ("phistar", "phin"):
+        _KERNEL_BOXES[name](32)
+    fourier_coeffs(smooth_probe, 8)
+    assert [f.cache_info() for f in spied] == before

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fcctrig import claims, indexsets, interpolation
+from fcctrig import claims, indexsets, interpolation, transforms
 from fcctrig.indexsets import _star_sizes, generate_Hn, generate_Hn_star, strata
 from fcctrig.lattice import _expsum
 from fcctrig.transforms import unit_cell_points
@@ -115,6 +115,17 @@ def test_kernels_take_integer_degrees_only(kernel):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         kernel(2.5, t)
     assert np.array_equal(kernel(np.int64(3), t), kernel(3, t))
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("kernel", [K_n, theta_n, dirichlet, dirichlet_product],
+                         ids=lambda fn: fn.__name__)
+def test_compact_kernels_reject_negative_degrees(kernel, n):
+    # dirichlet(-1, t) used to give -1.0, dirichlet_product(-1, t) -1,
+    # theta_n(-1, t) 1.0 and K_n(-2, t) a nonzero value, where
+    # dirichlet_direct(-1, t) raised
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        kernel(n, rand_t(np.random.default_rng(19), 5))
 
 
 def test_theta_zero_degree_vanishes():
@@ -258,13 +269,19 @@ ORACLES = {"hstar": (phi_n_star_direct, "interp_In_star"), "hn": (phi_n_fund, "i
 
 @pytest.mark.parametrize("rule", sorted(ORACLES))
 def test_direct_kernels_do_not_read_the_rule_table(rule, monkeypatch):
-    # a wrong denominator q = 11 moves the interpolant, not its oracle
+    # weights scaled by 12/11, as a denominator q = 11 would, in the weight
+    # box every module reads, move the interpolant, not its oracle
     kernel, builder = ORACLES[rule]
     n, t = 3, rand_t(np.random.default_rng(62), 20)
     f = lambda s: np.cos(2.0 * np.pi * s[..., 0])  # noqa: E731
     build = getattr(interpolation, builder)
     want, interp = kernel(n, t), build(f, n)(t)
-    nodes, a, _ = indexsets._RULES[rule](n)
-    monkeypatch.setitem(indexsets._RULES, rule, lambda m: (nodes, a, 11))
+    box = indexsets._weight_box
+
+    def wrong(r, m):
+        return box(r, m) * (12 / 11) if r == rule else box(r, m)
+
+    for module in (indexsets, interpolation, transforms):
+        monkeypatch.setattr(module, "_weight_box", wrong)
     assert np.array_equal(kernel(n, t), want)
     assert np.abs(build(f, n)(t) - interp).max() > 1e-3

@@ -10,6 +10,7 @@ is the grid maximum only while they hold.
 import numpy as np
 import pytest
 
+from fcctrig.indexsets import _from_reduced, _weight_box
 from fcctrig.interpolation import (
     KINDS,
     _KINDS,
@@ -63,10 +64,12 @@ def test_lebesgue_function_of_in_is_not_s4_invariant():
     "kind, n", [(kind, n) for kind in KINDS for n in range(1 + (kind == "ln"), 9)]
 )
 def test_node_and_frequency_sets_are_closed_under_minus_reversal(kind, n):
-    # -S rho = S exactly, with equal weights at k and -k rho
+    # -S rho = S exactly, with equal weights at k and -k rho; the frequency
+    # side is the nonzero entries of the kind's weight box
     spec = _KINDS[kind]
+    box = _weight_box(spec.rule, n)
     for rows, weights in ((node_set(kind, n), spec.factor(n)),
-                          (spec.freqs(n), spec.weights(n))):
+                          (_from_reduced(np.argwhere(box) - n), box[box != 0])):
         w = np.broadcast_to(weights, len(rows))
         table = dict(zip(map(tuple, rows.tolist()), w.tolist()))
         flipped = dict(zip(map(tuple, (-rows[:, ::-1]).tolist()), w.tolist()))

@@ -564,8 +564,9 @@ def test_dirichlet_and_theta_boxes(n):
     # D_n, the box lebesgue_Sn reads, is ones exactly at to_reduced(H_n*) + n.
     # theta_n = sum_{m < n} D_m with D_0 = 1; from n = 3 on some k' in its
     # box lie in no H_m*, m < n, and the count n - rho(k') goes negative
-    box = _KERNEL_BOXES["dirichlet"](n).box
-    assert np.array_equal(box, TrigPoly._place(generate_Hn_star(n), 1.0, n).box)
+    want = np.zeros((2 * n + 1,) * 3, dtype=complex)
+    want[tuple((to_reduced(generate_Hn_star(n)) + n).T)] = 1.0
+    assert np.array_equal(_KERNEL_BOXES["dirichlet"](n).box, want)
     t = np.random.default_rng(n).uniform(-1.5, 1.5, size=(40, 4))
     t -= t.mean(axis=1, keepdims=True)
     got = _KERNEL_BOXES["theta"](n)(t)
@@ -585,6 +586,13 @@ def test_lebesgue_Sn_grid_argument_is_deprecated_and_ignored():
 def test_lebesgue_Sn_rejects_degree_below_one(n):
     with pytest.raises(ValueError, match="degree must be >= 1"):
         lebesgue_Sn(n, quad_order=8)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_fourier_coeffs_rejects_degree_below_one(n):
+    # checked before the grid is sampled, as no set build checks it for it
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        fourier_coeffs(one, n)
 
 
 @pytest.mark.parametrize(
