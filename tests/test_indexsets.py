@@ -91,6 +91,15 @@ def test_Hn_circ_cardinality_and_strictness(n):
     assert {tuple(int(v) for v in row) for row in circ} <= star
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_Hn_circ_is_the_star_set_of_n_minus_one_byte_for_byte(n):
+    # max k - min k < 4n is max k - min k <= 4(n - 1) on rows congruent mod 4,
+    # and both sets come out in the same lexicographic order
+    circ, star = generate_Hn_circ(n), generate_Hn_star(n - 1)
+    assert circ.dtype == star.dtype and circ.shape == star.shape
+    assert circ.tobytes() == star.tobytes()
+
+
 @pytest.mark.parametrize("n", NS)
 def test_all_outputs_are_valid_indices(n):
     for gen in (generate_Hn, generate_Hn_star, generate_Hn_circ, lambda_nodes):
