@@ -83,8 +83,8 @@ def dodeca_cubature(n: int) -> float:
     """Max |rule - delta_k0| of the weighted rule over H_n* on phi_k, k in H_{2n-1}*.
 
     H_{2n-1}* goes by in slabs of k'_1 planes of its reduced box: k' is in it
-    iff rho(k') = spread(k'_1, k'_2, k'_3, 0) <= 2n - 1 (as ``transforms._rho``),
-    and its dual cell is read off k' itself."""
+    iff rho(k') = spread(k'_1, k'_2, k'_3, 0) <= 2n - 1 (``indexsets._rho``
+    slab by slab, with no (4n - 1)^3 box), and its dual cell is read off k'."""
     rule, m, err = _rule("hstar", n), 2 * n - 1, 0.0
     for kp in _box_slabs(-m, m, _PHASE_BLOCK):
         kp = kp[_spread(kp, initial=0) <= m]

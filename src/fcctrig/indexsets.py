@@ -1,10 +1,10 @@
 """Frequency and node index sets with their strata and weights.
 
-Every set is the rows of one box of reduced coordinates k'_i = (k_i - k_4)/4
-(``lattice._box``) that lie in Omega_H scaled by 4n, or are monotone for the
-tetrahedral sets: H_n is the half-open tile, -4n < k_i - k_j <= 4n
-(``lattice._half_open``), H_n* its closure, max k - min k <= 4n
-(``lattice._spread``), and H_n circ its interior, max k - min k < 4n.
+Membership is decided here alone, on the (2n+1)^3 box of k'_i = (k_i - k_4)/4
+in [-n, n]^3: as k_i - k_j = 4(k'_i - k'_j), k'_4 = 0, ``_mask`` takes H_n as
+``_half_open`` on (k', 0) at scale n, and H_n* and H_n circ as rho(k') <= n
+and < n, ``_rho`` being the spread of (k', 0) and the kernel boxes' rule too.
+``_members`` lexsorts a mask's rows k; tetrahedral sets are monotone rows.
 
 Strata and weights of whole node arrays are read off one routine,
 boundary.boundary_slots, and a class size off a stratum key by ``_unkey``.
@@ -94,30 +94,42 @@ def to_reduced(k) -> np.ndarray:
     return (k[..., :3] - k[..., 3:]) // 4
 
 
-def _lexsort_rows(rows: np.ndarray) -> np.ndarray:
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
+def _rho(n: int) -> np.ndarray:
+    """rho(k') = (max k - min k) / 4, the spread of (k', 0), on the (2n+1)^3
+    box of k' in [-n, n]^3 (n = 0 too): k is in H_m* iff rho(k') <= m."""
+    return _spread(_box(-n, n), initial=0).reshape((2 * n + 1,) * 3)
+
+
+def _mask(rule: str, n: int) -> np.ndarray:
+    """k' in H_n (``hn``: ``_half_open`` on (k', 0) at n), H_n* (``hstar``: rho <= n)
+    or H_n circ (``hcirc``: rho < n) on the (2n+1)^3 box of k' in [-n, n]^3."""
+    if rule == "hn":
+        return _half_open(_box(-n, n), n, initial=0).reshape((2 * n + 1,) * 3)
+    return _rho(n) <= n if rule == "hstar" else _rho(n) < n
+
+
+def _members(mask: np.ndarray, n: int) -> np.ndarray:
+    """The rows k with mask[k' + n], mask a (2n+1)^3 box, in lexicographic order."""
+    kk = _from_reduced(np.argwhere(mask) - n)
+    return kk[np.lexsort(kk.T[::-1])]
 
 
 @_per_degree
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
-    kk = _from_reduced(_box(-n + 1, n))
-    return _lexsort_rows(kk[_half_open(kk, 4 * n)])
+    return _members(_mask("hn", n), n)
 
 
 @_per_degree
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
-    kk = _from_reduced(_box(-n, n))
-    return _lexsort_rows(kk[_spread(kk) <= 4 * n])
+    return _members(_mask("hstar", n), n)
 
 
 @_per_degree
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
-    kk = _from_reduced(_box(1 - n, n - 1))
-    return _lexsort_rows(kk[_spread(kk) < 4 * n])
+    return _members(_mask("hcirc", n), n)
 
 
 def strata(kk, n: int) -> np.ndarray:
@@ -261,13 +273,8 @@ def _weight_box(rule: str, n: int) -> np.ndarray:
     """Float weights a_k / (q 4n^3) at box[to_reduced(k) + n], 0 off the set:
     H_n with a = q = 1 (``hn``), H_n* with a = 12 // class size and q = 12
     (``hstar``) or H_n circ with a = 24, q = 1 (``hcirc``)."""
-    kk, box = _from_reduced(_box(-n, n)), np.zeros((2 * n + 1) ** 3)
-    if rule == "hn":
-        box[_half_open(kk, 4 * n)] = 1 / (4 * n**3)
-    else:  # H_n circ, spread < 4n, has one-member classes; H_n* adds spread 4n
-        spread = _spread(kk)
-        box[spread < 4 * n] = (1 if rule == "hstar" else 24) / (4 * n**3)
-        if rule == "hstar":
-            edge = spread == 4 * n
-            box[edge] = 12 // class_sizes(kk[edge], n) / (12 * 4 * n**3)
-    return box.reshape((2 * n + 1,) * 3)
+    box = _mask(rule, n) * ((24 if rule == "hcirc" else 1) / (4 * n**3))
+    if rule == "hstar":  # H_n circ has one-member classes; H_n* adds the shell rho = n
+        edge = _rho(n) == n
+        box[edge] = 12 // class_sizes(_from_reduced(np.argwhere(edge) - n), n) / (12 * 4 * n**3)
+    return box

@@ -24,9 +24,9 @@ off ``_box(lo, hi)``, the one enumeration of integer triples.  Membership
 in Omega_H scaled by s is one rule with two forms: the half-open tile
 -s < x_i - x_j <= s is ``_half_open(x, s)``, run over ``_PAIRS`` one pair
 at a time, and the closure |x_i - x_j| <= s is ``_spread(x) <= s``, since
-the largest difference is max x - min x.  The domain tests, the node and
-frequency sets (s = 4n) and ``transforms._rho`` go through them, and
-``boundary.boundary_slots`` reads the boundary off the same row extremes.
+the largest difference is max x - min x; initial adds a slot holding it.
+They decide the domain tests and, as ``indexsets._rho`` and ``_mask``, every
+index set; ``boundary.boundary_slots`` reads the same row extremes.
 
 ``_CHUNK_ELEMENTS`` = 2^20 is the package's cap on the elements of any
 array a chunk of points forms.  Exponential sums stay far below it: the
@@ -157,11 +157,11 @@ def _spread(x: np.ndarray, initial=None) -> np.ndarray:
     return x.max(axis=-1, initial=initial) - x.min(axis=-1, initial=initial)
 
 
-def _half_open(x: np.ndarray, s) -> np.ndarray:
-    """-s < x_i - x_j <= s for every pair i < j of the last axis, one (...,) view at a time."""
+def _half_open(x: np.ndarray, s, initial=None) -> np.ndarray:
+    """-s < x_i - x_j <= s for all i < j of 4 slots (3 and initial), one view at a time."""
     out = np.ones(x.shape[:-1], dtype=bool)
-    for i, j in zip(*_PAIRS):
-        d = x[..., i] - x[..., j]
+    for i, j in zip(*_PAIRS):  # initial, if given, is slot 3, so only j reaches it
+        d = x[..., i] - (initial if j == x.shape[-1] else x[..., j])
         out &= (d > -s) & (d <= s)
     return out[()]  # a scalar for one point
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexsets import _RULES, _degree, _weight_box, to_reduced
-from .lattice import _CHUNK_ELEMENTS, A_MATRIX, _box, _points, _spread, to_homogeneous
+from .indexsets import _RULES, _degree, _rho, _weight_box, to_reduced
+from .lattice import _CHUNK_ELEMENTS, A_MATRIX, _box, _points, to_homogeneous
 
 
 def _finite(values: np.ndarray, at: np.ndarray, what: str = "node value") -> np.ndarray:
@@ -216,16 +216,9 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     return TrigPoly._own(np.where(_rho(n) <= n, np.fft.fftn(fv)[np.ix_(k, k, k)] / q**3, 0))
 
 
-def _rho(n: int) -> np.ndarray:
-    """rho(k') = (max k - min k) / 4 on the (2n+1)^3 box of k' in [-n, n]^3:
-    the spread of (k'_1, k'_2, k'_3, 0), whose slots are (k_i - k_4) / 4.
-    k is in H_m* iff rho(k') <= m, so D_m is 1 where rho <= m, and theta_n =
-    sum_{m < n} D_m, D_0 = 1, is max(0, n - rho) on [1 - n, n - 1]^3."""
-    return _spread(_box(-n, n), initial=0).reshape((2 * n + 1,) * 3)
-
-
 # the coefficient box of every compact kernel, by its ``fcc-trig kernel --f``
-# name: theta and D_n off rho(k'), Phi_n* and Phi_n the weight boxes themselves
+# name: D_n is 1 where rho(k') <= n, theta_n = sum_{m < n} D_m, D_0 = 1, is
+# max(0, n - rho) on [1 - n, n - 1]^3, Phi_n* and Phi_n are the weight boxes
 _KERNEL_BOXES = {
     "theta": lambda n: TrigPoly._own(np.maximum(n - _rho(_degree(n) - 1), 0).astype(complex)),
     "dirichlet": lambda n: TrigPoly._own((_rho(_degree(n)) <= n).astype(complex)),

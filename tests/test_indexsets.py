@@ -349,15 +349,26 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("fn", [generate_Hn, generate_Hn_star, generate_Hn_circ],
-                         ids=lambda fn: fn.__name__)
+# every set and weight-box build at n = 32, afresh past the per-degree memo
+BUILDS = {
+    "generate_Hn": lambda: generate_Hn.__wrapped__(32),
+    "generate_Hn_star": lambda: generate_Hn_star.__wrapped__(32),
+    "generate_Hn_circ": lambda: generate_Hn_circ.__wrapped__(32),
+    "_weight_box-hn": lambda: _weight_box.__wrapped__("hn", 32),
+    "_weight_box-hstar": lambda: _weight_box.__wrapped__("hstar", 32),
+    "_weight_box-hcirc": lambda: _weight_box.__wrapped__("hcirc", 32),
+}
+
+
+@pytest.mark.parametrize("fn", BUILDS.values(), ids=BUILDS.keys())
 def test_set_build_memory_is_bounded(fn, monkeypatch):
-    # the membership tests read the row extremes or one pair at a time: the
-    # six-wide difference arrays they replaced peaked at 42-46 MiB at n = 32;
-    # __wrapped__ builds afresh, past the per-degree memo
+    # membership is decided on the 3-column box of k' and only the members
+    # become 4-column rows: 12.6-14.7 MiB, against 22.9-25.1 MiB while each
+    # build mapped the whole box to rows first and 42-46 MiB with six-wide
+    # difference arrays
     monkeypatch.setenv("FCC_TRIG_THREADS", "1")
-    peak = _traced_peak(lambda: fn.__wrapped__(32))
-    assert peak < 32 * 2**20, peak
+    peak = _traced_peak(fn)
+    assert peak < 16 * 2**20, peak
 
 
 def test_class_sizes_memory_is_bounded(monkeypatch):
