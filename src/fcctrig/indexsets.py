@@ -3,8 +3,8 @@
 Membership is decided here alone, on the (2n+1)^3 box of k'_i = (k_i - k_4)/4
 in [-n, n]^3: as k_i - k_j = 4(k'_i - k'_j), k'_4 = 0, ``_mask`` takes H_n as
 ``_half_open`` on (k', 0) at scale n, and H_n* and H_n circ as rho(k') <= n
-and < n, ``_rho`` being the spread of (k', 0) and the kernel boxes' rule too.
-``_members`` lexsorts a mask's rows k; tetrahedral sets are monotone rows.
+and < n, ``_rho`` being the spread of (k', 0); rho < n is rho <= n - 1, so
+H_n circ is H*_{n-1}'s array for n > 1.  ``_members`` lexsorts a mask's rows.
 
 Strata and weights of whole node arrays are read off one routine,
 boundary.boundary_slots, and a class size off a stratum key by ``_unkey``.
@@ -128,8 +128,8 @@ def generate_Hn_star(n: int) -> np.ndarray:
 
 @_per_degree
 def generate_Hn_circ(n: int) -> np.ndarray:
-    """Strictly interior nodes, |k_i - k_j| < 4n; equals the star set of n-1."""
-    return _members(_mask("hcirc", n), n)
+    """Strictly interior nodes, |k_i - k_j| < 4n: the array of H*_{n-1}, n > 1."""
+    return generate_Hn_star(n - 1) if n > 1 else _members(_mask("hcirc", 1), 1)
 
 
 def strata(kk, n: int) -> np.ndarray:
@@ -251,11 +251,8 @@ def lambda_weights(n: int) -> np.ndarray:
 
 def generate_Lambda_n(n: int) -> list:
     """Tetrahedral indices with their stratum labels."""
-    kk = lambda_nodes(n)
-    return [
-        (tuple(k), TETRA_STRATA[w])
-        for k, w in zip(kk.tolist(), lambdas(kk, n).tolist())
-    ]
+    return [(tuple(k), TETRA_STRATA[w])
+            for k, w in zip(lambda_nodes(n).tolist(), lambda_weights(n).tolist())]
 
 
 # name -> n -> (nodes, a, q): the rule (1/4n^3) sum_j (a_j/q) f(j/4n); 12 is

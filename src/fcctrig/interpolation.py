@@ -59,7 +59,7 @@ vectors, under t -> -t rho (rho reverses the coordinates) and, for all kinds but
 of those maps and takes the maximum over those points.  The
 compact forms (``ell_tri``, ``ell_circ``, ``phi_n_star``, ``theta_n``)
 and the sums ``ell_*_sum`` are the paper's identities and the oracles
-both routes are tested against.  ``regular_interpolate`` drives
+the interpolants and scans are tested against.  ``regular_interpolate`` drives
 ``lnstar`` through the regular-simplex chart of ``tetra``.
 """
 

@@ -134,7 +134,8 @@ def _degree(n, least: int = 1) -> int:
 
 def _box(lo: int, hi: int) -> np.ndarray:
     """The int64 rows of [lo, hi]^3 in lexicographic order, (hi - lo + 1)^3 of them."""
-    return np.indices((hi - lo + 1,) * 3, dtype=np.int64).reshape(3, -1).T + lo
+    b = np.indices((hi - lo + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    return np.add(b, lo, out=b).T
 
 
 def _box_slabs(lo: int, hi: int, rows: int):

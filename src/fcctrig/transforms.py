@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexsets import _RULES, _degree, _rho, _weight_box, to_reduced
+from .indexsets import _RULES, _degree, _mask, _rho, _weight_box, to_reduced
 from .lattice import _CHUNK_ELEMENTS, A_MATRIX, _box, _points, to_homogeneous
 
 
@@ -213,7 +213,7 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
     pts = unit_cell_points(q)
     fv = _sample(f, pts, f"the {q}^3 cell grid", pts, "value of f").reshape(q, q, q)
     k = np.arange(-n, n + 1) % q
-    return TrigPoly._own(np.where(_rho(n) <= n, np.fft.fftn(fv)[np.ix_(k, k, k)] / q**3, 0))
+    return TrigPoly._own(np.where(_mask("hstar", n), np.fft.fftn(fv)[np.ix_(k, k, k)] / q**3, 0))
 
 
 # the coefficient box of every compact kernel, by its ``fcc-trig kernel --f``
@@ -221,7 +221,7 @@ def fourier_coeffs(f, n: int, quad_order: int | None = None) -> TrigPoly:
 # max(0, n - rho) on [1 - n, n - 1]^3, Phi_n* and Phi_n are the weight boxes
 _KERNEL_BOXES = {
     "theta": lambda n: TrigPoly._own(np.maximum(n - _rho(_degree(n) - 1), 0).astype(complex)),
-    "dirichlet": lambda n: TrigPoly._own((_rho(_degree(n)) <= n).astype(complex)),
+    "dirichlet": lambda n: TrigPoly._own(_mask("hstar", _degree(n)).astype(complex)),
     "phistar": lambda n: TrigPoly._own(_weight_box("hstar", n).astype(complex)),
     "phin": lambda n: TrigPoly._own(_weight_box("hn", n).astype(complex)),
 }

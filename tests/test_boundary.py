@@ -50,6 +50,11 @@ def test_classify_rejects_outside():
         classify([1.5, -0.5, -0.5, -0.5])
 
 
+def test_classify_rejects_more_than_one_point():
+    with pytest.raises(ValueError, match="classify expects a single point"):
+        classify([[0.0, 0.0, 0.0, 0.0], [0.2, 0.1, -0.1, -0.2]])
+
+
 def test_classify_index_matches_float():
     n = 3
     for k in generate_Hn_star(n):

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from fcctrig import claims, indexsets, interpolation, trigbasis
+from fcctrig import claims, indexsets, interpolation, kernels, trigbasis
 from fcctrig.indexsets import (
     _star_sizes,
     generate_Hn,
@@ -102,6 +102,17 @@ def test_adding_q_to_one_integer_weight_fails_its_claims(rule, n, monkeypatch):
     grow_first_weight(rule, n, monkeypatch)
     assert claims.weight_sums(n) == 1
     assert claim(n) > 1e-10
+
+
+def test_compact_kernels_runs_each_direct_sum_once(monkeypatch):
+    # "dirichlet" and "dirichlet product" share one direct oracle
+    calls, direct = [], kernels.dirichlet_direct
+    monkeypatch.setattr(kernels, "dirichlet_direct", lambda n, t: calls.append(n) or direct(n, t))
+    t = np.random.default_rng(3).uniform(-1.0, 1.0, (10, 4))
+    t -= t.mean(axis=1, keepdims=True)
+    errs = claims.compact_kernels(3, t)
+    assert calls == [3]
+    assert errs["dirichlet"] < 1e-9 and errs["dirichlet product"] < 1e-9
 
 
 @pytest.mark.parametrize("claim", ["orthonormality", "dodeca_cubature", "tetra_cubature"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fcctrig import claims, cli, kernels
+from fcctrig import claims, cli, kernels, transforms, trigbasis
 from fcctrig.indexsets import generate_Hn_star, lambda_nodes
 from fcctrig.interpolation import KINDS, dodeca_grid, from_node_values, node_set
 from fcctrig.kernels import dirichlet, dirichlet_direct, phi_n_fund, phi_n_star_direct
@@ -236,6 +236,27 @@ def test_cubature_bad_k_usage(capsys):
     assert code == 1
     code, _, err = run(capsys, "cubature", "--f", "nosuch")
     assert code == 1
+    code, _, err = run(capsys, "cubature", "--f", "phi", "--k", "1,a,1,-3")
+    assert code == 1
+    assert "--k needs four comma-separated integers" in err
+    code, _, err = run(capsys, "cubature", "--f", "nosuch", "--k", "1,1,1,-3")
+    assert code == 1
+    assert "unknown builtin function 'nosuch'" in err
+
+
+def test_builtin_ts_is_the_sine_of_the_sorted_index(capsys):
+    # --f ts (and tc) read --k in any order as the non-increasing index
+    k, t = np.array([2, 6, -6, -2]), np.random.default_rng(7).uniform(-1.0, 1.0, (20, 4))
+    t -= t.mean(axis=1, keepdims=True)
+    ts = cli._builtin("ts", k)
+    assert np.array_equal(ts(t), trigbasis.ts(np.array([6, 2, -2, -6]), t))
+    assert not np.allclose(ts(t), trigbasis.tc(np.array([6, 2, -2, -6]), t))
+    code, out, _ = run(capsys, "cubature", "--f", "ts", "--k", "2,6,-6,-2", "--n", "3",
+                       "--format", "json")
+    assert code == 0
+    want = transforms.cubature_dodeca(ts, 3)
+    got = json.loads(out)
+    assert (got["value_re"], got["value_im"]) == (float(want.real), float(want.imag))
 
 
 def test_interpolate_builtin_reports_error(capsys):
