@@ -4,7 +4,9 @@ Membership is decided here alone, on the (2n+1)^3 box of k'_i = (k_i - k_4)/4
 in [-n, n]^3: as k_i - k_j = 4(k'_i - k'_j), k'_4 = 0, ``_mask`` takes H_n as
 ``_half_open`` on (k', 0) at scale n, and H_n* and H_n circ as rho(k') <= n
 and < n, ``_rho`` being the spread of (k', 0); rho < n is rho <= n - 1, so
-H_n circ is H*_{n-1}'s array for n > 1.  ``_members`` lexsorts a mask's rows.
+H_n circ is H*_{n-1}'s array for n > 1.  Two sets are enumerated, H_n* (one
+lexsort) and the tetrahedral set; H_n, H_1 circ and the strictly interior
+tetrahedral set are selections of those arrays that keep their order.
 
 Strata and weights of whole node arrays are read off one routine,
 boundary.boundary_slots, and a class size off a stratum key by ``_unkey``.
@@ -108,28 +110,25 @@ def _mask(rule: str, n: int) -> np.ndarray:
     return _rho(n) <= n if rule == "hstar" else _rho(n) < n
 
 
-def _members(mask: np.ndarray, n: int) -> np.ndarray:
-    """The rows k with mask[k' + n], mask a (2n+1)^3 box, in lexicographic order."""
-    kk = _from_reduced(np.argwhere(mask) - n)
-    return kk[np.lexsort(kk.T[::-1])]
-
-
 @_per_degree
 def generate_Hn(n: int) -> np.ndarray:
     """The 4n^3 interpolation frequencies: -4n < k_i - k_j <= 4n, half open."""
-    return _members(_mask("hn", n), n)
+    star = generate_Hn_star(n)
+    return star[_half_open(star, 4 * n)]
 
 
 @_per_degree
 def generate_Hn_star(n: int) -> np.ndarray:
     """The symmetric node/frequency set: |k_i - k_j| <= 4n; (n+1)^4 - n^4 members."""
-    return _members(_mask("hstar", n), n)
+    kk = _from_reduced(np.argwhere(_mask("hstar", n)) - n)
+    return kk[np.lexsort(kk.T[::-1])]
 
 
 @_per_degree
 def generate_Hn_circ(n: int) -> np.ndarray:
     """Strictly interior nodes, |k_i - k_j| < 4n: the array of H*_{n-1}, n > 1."""
-    return generate_Hn_star(n - 1) if n > 1 else _members(_mask("hcirc", 1), 1)
+    star = generate_Hn_star(max(n - 1, 1))
+    return star if n > 1 else star[_spread(star) < 4]
 
 
 def strata(kk, n: int) -> np.ndarray:
@@ -237,10 +236,9 @@ def lambda_nodes(n: int) -> np.ndarray:
 
 @_per_degree
 def lambda_circ_nodes(n: int) -> np.ndarray:
-    """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4)."""
-    kp = _box(1, n - 1)
-    a, b, c = kp.T
-    return _from_reduced(kp[(a > b) & (b > c)])
+    """Strictly interior tetrahedral indices, binom(n-1,3) rows (empty for n < 4): lambda = 24,
+    a 24-member orbit (a > b > c > 0) in a one-member class (a < n)."""
+    return lambda_nodes(n)[lambda_weights(n) == TETRA_WEIGHTS["interior"]]
 
 
 @_per_degree

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexsets import _degree, _star_sizes, generate_Hn, generate_Hn_star, strata
+from .indexsets import _degree, _star_sizes, generate_Hn, generate_Hn_star
 from .lattice import _PAIRS, _expsum_rows, _points
 
 SING_TOL = 1e-8
@@ -103,9 +103,8 @@ def edge_sum(n: int, t) -> np.ndarray:
 
 def edge_sum_direct(n: int, t) -> np.ndarray:
     """Oracle for edge_sum: sum exponentials over the two edge strata."""
-    kk = generate_Hn_star(n)
-    # |I| + |J| = 3 exactly on the (1, 2) and (2, 1) strata
-    return _expsum_rows(kk[strata(kk, n).sum(axis=1) == 3], 1.0, t)
+    # binom(|I| + |J|, |I|) = 3 exactly on the (1, 2) and (2, 1) strata
+    return _expsum_rows(generate_Hn_star(n)[_star_sizes(n) == 3], 1.0, t)
 
 
 def phi_n_star(n: int, t) -> np.ndarray:
